@@ -301,7 +301,7 @@ int main(int argc, char** argv) {
                   "reservation, 1 vs N threads, invariant audits)");
   bench::add_common_flags(cli, opts);
   bench::add_threads_flag(cli, opts);
-  cli.add_int("seeds", &seeds, "number of scenarios to fuzz");
+  cli.add_int("seeds", &seeds, "number of scenarios to fuzz", 0);
   cli.add_uint64("base-seed", &base_seed, "first scenario seed");
   cli.add_int("audit-every", &audit_every,
               "run the invariant sweep every Nth event (0 = end-of-run "

@@ -61,7 +61,8 @@ int main(int argc, char** argv) {
                   "M1-M5 with exact observation mappings)");
   bench::add_common_flags(cli, opts);
   bench::add_threads_flag(cli, opts);
-  cli.add_int("seeds", &seeds, "number of scripted scenarios to check");
+  cli.add_int("seeds", &seeds, "number of scripted scenarios to check",
+              0);
   cli.add_uint64("base-seed", &base_seed, "first scenario seed");
   cli.add_bool("faults", &faults,
                "add scripted outage windows per seed — needs a PABR_FAULT "

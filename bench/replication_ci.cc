@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli, opts);
   bench::add_threads_flag(cli, opts);
   bench::add_telemetry_flags(cli, opts);
-  cli.add_int("seeds", &seeds, "independent replications per scheme");
+  cli.add_int("seeds", &seeds, "independent replications per scheme", 1);
   cli.add_double("load", &load, "offered load per cell");
   double checkpoint_every = 0.0;
   std::string checkpoint_path = "replication_ci.pabrsnap";

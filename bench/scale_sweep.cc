@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli, opts);
   bench::add_telemetry_flags(cli, opts);
   cli.add_int("shards", &only_shards,
-              "run only this shard count (0 = sweep 1, 2, 4)");
-  cli.add_int("rows", &rows_override, "override grid rows (0 = sweep)");
-  cli.add_int("cols", &cols_override, "override grid cols (0 = sweep)");
+              "run only this shard count (0 = sweep 1, 2, 4)", 0);
+  cli.add_int("rows", &rows_override, "override grid rows (0 = sweep)", 0);
+  cli.add_int("cols", &cols_override, "override grid cols (0 = sweep)", 0);
   cli.add_double("duration", &duration_override,
                  "override simulated seconds (0 = per-grid default)");
   double checkpoint_every = 0.0;

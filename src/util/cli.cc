@@ -23,10 +23,11 @@ void Parser::add_bool(const std::string& name, bool* target, std::string help) {
                       bool_repr(*target)};
 }
 
-void Parser::add_int(const std::string& name, int* target, std::string help) {
+void Parser::add_int(const std::string& name, int* target, std::string help,
+                     int min) {
   PABR_CHECK(!flags_.count(name), "duplicate flag: " + name);
-  flags_[name] =
-      Flag{Flag::Kind::kInt, target, std::move(help), std::to_string(*target)};
+  flags_[name] = Flag{Flag::Kind::kInt, target, std::move(help),
+                      std::to_string(*target), min};
 }
 
 void Parser::add_uint64(const std::string& name, unsigned long long* target,
@@ -71,9 +72,16 @@ bool Parser::assign(const std::string& name, const std::string& value) {
         }
         break;
       }
-      case Flag::Kind::kInt:
-        *static_cast<int*>(flag.target) = std::stoi(value);
+      case Flag::Kind::kInt: {
+        const int v = std::stoi(value);
+        if (v < flag.min) {
+          std::cerr << program_ << ": bad value for --" << name << ": '"
+                    << value << "' (must be >= " << flag.min << ")\n";
+          return false;
+        }
+        *static_cast<int*>(flag.target) = v;
         break;
+      }
       case Flag::Kind::kUint64:
         *static_cast<unsigned long long*>(flag.target) = std::stoull(value);
         break;

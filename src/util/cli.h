@@ -6,6 +6,7 @@
 #pragma once
 
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -26,7 +27,11 @@ class Parser {
   Parser(std::string program, std::string description);
 
   void add_bool(const std::string& name, bool* target, std::string help);
-  void add_int(const std::string& name, int* target, std::string help);
+  /// Integer flag; values below `min` are rejected at parse time (count
+  /// flags pass their smallest meaningful value so a negative count fails
+  /// closed instead of reaching the program).
+  void add_int(const std::string& name, int* target, std::string help,
+               int min = std::numeric_limits<int>::min());
   void add_uint64(const std::string& name, unsigned long long* target,
                   std::string help);
   void add_double(const std::string& name, double* target, std::string help);
@@ -50,6 +55,7 @@ class Parser {
     void* target;
     std::string help;
     std::string default_repr;
+    int min = std::numeric_limits<int>::min();  ///< kInt lower bound
   };
 
   bool assign(const std::string& name, const std::string& value);

@@ -72,6 +72,24 @@ TEST(CliTest, BadNumberFails) {
   EXPECT_FALSE(p.parse(static_cast<int>(args.size()), args.data()));
 }
 
+TEST(CliTest, IntBelowMinimumFails) {
+  Parser p("t", "test");
+  int n = 5;
+  p.add_int("n", &n, "", 0);
+  auto args = argv_of({"--n", "-3"});
+  EXPECT_FALSE(p.parse(static_cast<int>(args.size()), args.data()));
+  EXPECT_EQ(n, 5);  // the target is left untouched
+}
+
+TEST(CliTest, IntAtMinimumParses) {
+  Parser p("t", "test");
+  int n = 5;
+  p.add_int("n", &n, "", 0);
+  auto args = argv_of({"--n=0"});
+  ASSERT_TRUE(p.parse(static_cast<int>(args.size()), args.data()));
+  EXPECT_EQ(n, 0);
+}
+
 TEST(CliTest, MissingValueFails) {
   Parser p("t", "test");
   double x = 0.0;
