@@ -2,10 +2,8 @@
 // core/system_snapshot.cc for the shared design; same section protocol,
 // same re-schedule-by-original-seq restore rule, invariant I10).
 #include <algorithm>
-#include <functional>
 #include <istream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -18,27 +16,6 @@
 
 namespace pabr::core {
 
-namespace {
-
-void put_pending(snapshot::Encoder& e,
-                 const std::optional<sim::EventQueue::PendingInfo>& p) {
-  e.b(p.has_value());
-  if (p.has_value()) {
-    e.f64(p->when);
-    e.u64(p->seq);
-  }
-}
-
-std::optional<sim::EventQueue::PendingInfo> get_pending(snapshot::Decoder& d) {
-  if (!d.b()) return std::nullopt;
-  sim::EventQueue::PendingInfo p;
-  p.when = d.f64();
-  p.seq = d.u64();
-  return p;
-}
-
-}  // namespace
-
 void HexCellularSystem::save(std::ostream& os) {
   snapshot::Writer w(snapshot::SystemKind::kHex,
                      snapshot::config_digest(config_), simulator_.now(),
@@ -48,31 +25,13 @@ void HexCellularSystem::save(std::ostream& os) {
     auto& e = w.begin_section("config");
     snapshot::put_config(e, config_);
   }
-  {
-    auto& e = w.begin_section("simulator");
-    e.f64(simulator_.now());
-    e.u64(simulator_.events_executed());
-    e.u64(simulator_.queue_next_seq());
-    e.u64(simulator_.queue_next_id());
-    e.u64(static_cast<std::uint64_t>(events_since_audit_));
-  }
+  snapshot::put_simulator(w, simulator_, events_since_audit_);
   {
     auto& e = w.begin_section("rngs");
     e.str(arrival_rng_.save_state());
     e.str(movement_rng_.save_state());
   }
-  {
-    auto& e = w.begin_section("cells");
-    for (const Cell& cell : cells_) snapshot::put_cell(e, cell);
-  }
-  {
-    auto& e = w.begin_section("stations");
-    for (const BaseStation& bs : stations_) snapshot::put_station(e, bs);
-  }
-  {
-    auto& e = w.begin_section("metrics");
-    for (const CellMetrics& m : metrics_) snapshot::put_cell_metrics(e, m);
-  }
+  core_.save_cells(w);
   {
     auto& e = w.begin_section("mobiles");
     std::vector<const HexMobile*> recs;
@@ -91,36 +50,16 @@ void HexCellularSystem::save(std::ostream& os) {
       e.i64(m->prev);
       e.f64(m->entered_at);
       e.f64(m->speed_kmh);
-      put_pending(e, simulator_.pending(m->expiry));
-      put_pending(e, simulator_.pending(m->crossing));
+      snapshot::put_pending(e, simulator_.pending(m->expiry));
+      snapshot::put_pending(e, simulator_.pending(m->crossing));
     }
   }
   {
     auto& e = w.begin_section("arrival");
-    put_pending(e, simulator_.pending(next_arrival_));
+    snapshot::put_pending(e, simulator_.pending(next_arrival_));
   }
-  {
-    auto& e = w.begin_section("accountant");
-    snapshot::put_accountant(e, accountant_);
-  }
-  {
-    auto& e = w.begin_section("engine");
-    snapshot::put_engine(e, reservation_engine_);
-  }
-  {
-    auto& e = w.begin_section("telemetry");
-    e.b(telemetry_.enabled());
-    if (telemetry_.enabled()) {
-      snapshot::put_metrics_snapshot(e, telemetry_.registry().snapshot());
-      snapshot::put_trace_buffer(e, telemetry_.buffer());
-    }
-  }
-  {
-    auto& e = w.begin_section("fault");
-    const bool present = fault_ != nullptr;
-    e.b(present);
-    if (present) fault_->save(e);
-  }
+  core_.save_accountant(w);
+  core_.save_tail(w);
 
   w.finish(os);
 }
@@ -145,46 +84,15 @@ void HexCellularSystem::restore_from(const snapshot::Reader& reader) {
   next_arrival_ = sim::EventHandle{};
   PABR_CHECK(mobiles_.empty(), "restore_from on a used system");
 
-  double now = 0.0;
-  std::uint64_t executed = 0;
-  std::uint64_t saved_next_seq = 0;
-  std::uint64_t saved_next_id = 0;
-  {
-    auto d = reader.open("simulator");
-    now = d.f64();
-    executed = d.u64();
-    saved_next_seq = d.u64();
-    saved_next_id = d.u64();
-    events_since_audit_ = static_cast<int>(d.u64());
-    d.finish();
-  }
+  snapshot::CalendarReplay replay(reader);
+  events_since_audit_ = replay.events_since_audit();
   {
     auto d = reader.open("rngs");
     arrival_rng_.load_state(d.str());
     movement_rng_.load_state(d.str());
     d.finish();
   }
-  {
-    auto d = reader.open("cells");
-    for (Cell& cell : cells_) snapshot::restore_cell(d, cell);
-    d.finish();
-  }
-  {
-    auto d = reader.open("stations");
-    for (BaseStation& bs : stations_) snapshot::restore_station(d, bs);
-    d.finish();
-  }
-  {
-    auto d = reader.open("metrics");
-    for (CellMetrics& m : metrics_) snapshot::restore_cell_metrics(d, m);
-    d.finish();
-  }
-
-  struct SavedEvent {
-    std::uint64_t seq;
-    std::function<void()> schedule;
-  };
-  std::vector<SavedEvent> events;
+  core_.restore_cells(reader);
 
   {
     auto d = reader.open("mobiles");
@@ -198,85 +106,36 @@ void HexCellularSystem::restore_from(const snapshot::Reader& reader) {
       m.prev = static_cast<geom::CellId>(d.i64());
       m.entered_at = d.f64();
       m.speed_kmh = d.f64();
-      const auto expiry = get_pending(d);
-      const auto crossing = get_pending(d);
+      const auto expiry = snapshot::get_pending(d);
+      const auto crossing = snapshot::get_pending(d);
       const traffic::ConnectionId id = m.id;
       auto [it, inserted] = mobiles_.emplace(id, std::move(m));
       PABR_CHECK(inserted, "duplicate mobile id in snapshot");
       HexMobile* rec = &it->second;
-      if (expiry.has_value()) {
-        events.push_back(
-            {expiry->seq, [this, rec, when = expiry->when, id] {
-               rec->expiry = simulator_.schedule_at(when, [this, id] {
-                 handle_expiry(id);
-                 maybe_audit();
-               });
-             }});
-      }
-      if (crossing.has_value()) {
-        events.push_back(
-            {crossing->seq, [this, rec, when = crossing->when, id] {
-               rec->crossing = simulator_.schedule_at(when, [this, id] {
-                 handle_crossing(id);
-                 maybe_audit();
-               });
-             }});
-      }
+      replay.add(expiry, [this, rec, id](sim::Time when) {
+        rec->expiry = simulator_.schedule_at(when, [this, id] {
+          handle_expiry(id);
+          maybe_audit();
+        });
+      });
+      replay.add(crossing, [this, rec, id](sim::Time when) {
+        rec->crossing = simulator_.schedule_at(when, [this, id] {
+          handle_crossing(id);
+          maybe_audit();
+        });
+      });
     }
     d.finish();
   }
   {
     auto d = reader.open("arrival");
-    const auto arrival = get_pending(d);
-    d.finish();
-    if (arrival.has_value()) {
-      events.push_back({arrival->seq, [this, when = arrival->when] {
-                          schedule_arrival_at(when);
-                        }});
-    }
-  }
-  {
-    auto d = reader.open("accountant");
-    snapshot::restore_accountant(d, accountant_);
+    replay.add(snapshot::get_pending(d),
+               [this](sim::Time when) { schedule_arrival_at(when); });
     d.finish();
   }
-  {
-    auto d = reader.open("engine");
-    snapshot::restore_engine(d, reservation_engine_);
-    d.finish();
-  }
-  {
-    auto d = reader.open("telemetry");
-    const bool enabled = d.b();
-    PABR_CHECK(enabled == telemetry_.enabled(),
-               "snapshot/build disagree on telemetry");
-    if (enabled) {
-      const telemetry::MetricsSnapshot snap =
-          snapshot::get_metrics_snapshot(d);
-      telemetry_.registry().restore(snap);
-      snapshot::restore_trace_buffer(d, telemetry_.buffer());
-    }
-    d.finish();
-  }
-  {
-    auto d = reader.open("fault");
-    const bool present = d.b();
-    PABR_CHECK(present == (fault_ != nullptr),
-               "snapshot/build disagree on fault injection");
-    if (present) fault_->load(d);
-    d.finish();
-  }
-
-  std::sort(events.begin(), events.end(),
-            [](const SavedEvent& a, const SavedEvent& b) {
-              return a.seq < b.seq;
-            });
-  for (SavedEvent& ev : events) ev.schedule();
-
-  simulator_.advance_queue_counters(
-      std::max(saved_next_seq, simulator_.queue_next_seq()),
-      std::max(saved_next_id, simulator_.queue_next_id()));
-  simulator_.restore_clock(now, executed);
+  core_.restore_accountant(reader);
+  core_.restore_tail(reader);
+  replay.finish(simulator_);
 }
 
 }  // namespace pabr::core

@@ -9,10 +9,8 @@
 // comparator looks at, so the resumed trajectory is bitwise identical to
 // the uninterrupted run (invariant I10).
 #include <algorithm>
-#include <functional>
 #include <istream>
 #include <memory>
-#include <optional>
 #include <ostream>
 #include <string>
 #include <utility>
@@ -25,28 +23,6 @@
 
 namespace pabr::core {
 
-namespace {
-
-/// Pending-event slot: presence flag + fire time + insertion seq.
-void put_pending(snapshot::Encoder& e,
-                 const std::optional<sim::EventQueue::PendingInfo>& p) {
-  e.b(p.has_value());
-  if (p.has_value()) {
-    e.f64(p->when);
-    e.u64(p->seq);
-  }
-}
-
-std::optional<sim::EventQueue::PendingInfo> get_pending(snapshot::Decoder& d) {
-  if (!d.b()) return std::nullopt;
-  sim::EventQueue::PendingInfo p;
-  p.when = d.f64();
-  p.seq = d.u64();
-  return p;
-}
-
-}  // namespace
-
 void CellularSystem::save(std::ostream& os) {
   snapshot::Writer w(snapshot::SystemKind::kLinear,
                      snapshot::config_digest(config_), simulator_.now(),
@@ -56,14 +32,7 @@ void CellularSystem::save(std::ostream& os) {
     auto& e = w.begin_section("config");
     snapshot::put_config(e, config_);
   }
-  {
-    auto& e = w.begin_section("simulator");
-    e.f64(simulator_.now());
-    e.u64(simulator_.events_executed());
-    e.u64(simulator_.queue_next_seq());
-    e.u64(simulator_.queue_next_id());
-    e.u64(static_cast<std::uint64_t>(events_since_audit_));
-  }
+  snapshot::put_simulator(w, simulator_, events_since_audit_);
   {
     auto& e = w.begin_section("rngs");
     e.str(workload_.rng_state());
@@ -71,18 +40,7 @@ void CellularSystem::save(std::ostream& os) {
     e.str(retry_.rng_state());
     e.str(route_rng_.save_state());
   }
-  {
-    auto& e = w.begin_section("cells");
-    for (const Cell& cell : cells_) snapshot::put_cell(e, cell);
-  }
-  {
-    auto& e = w.begin_section("stations");
-    for (const BaseStation& bs : stations_) snapshot::put_station(e, bs);
-  }
-  {
-    auto& e = w.begin_section("metrics");
-    for (const CellMetrics& m : metrics_) snapshot::put_cell_metrics(e, m);
-  }
+  core_.save_cells(w);
   {
     auto& e = w.begin_section("traces");
     e.u32(static_cast<std::uint32_t>(traces_.size()));
@@ -112,14 +70,14 @@ void CellularSystem::save(std::ostream& os) {
       e.f64(rec->crossing_boundary_km);
       e.i64(rec->dual_cell);
       e.i64(rec->dual_bw);
-      put_pending(e, simulator_.pending(rec->expiry));
-      put_pending(e, simulator_.pending(rec->crossing));
-      put_pending(e, simulator_.pending(rec->zone_entry));
+      snapshot::put_pending(e, simulator_.pending(rec->expiry));
+      snapshot::put_pending(e, simulator_.pending(rec->crossing));
+      snapshot::put_pending(e, simulator_.pending(rec->zone_entry));
     }
   }
   {
     auto& e = w.begin_section("arrival");
-    put_pending(e, simulator_.pending(next_arrival_));
+    snapshot::put_pending(e, simulator_.pending(next_arrival_));
   }
   {
     auto& e = w.begin_section("retries");
@@ -134,10 +92,7 @@ void CellularSystem::save(std::ostream& os) {
       snapshot::put_request(e, pr.request);
     }
   }
-  {
-    auto& e = w.begin_section("accountant");
-    snapshot::put_accountant(e, accountant_);
-  }
+  core_.save_accountant(w);
   {
     auto& e = w.begin_section("interconnect");
     snapshot::put_interconnect(e, interconnect_);
@@ -157,27 +112,7 @@ void CellularSystem::save(std::ostream& os) {
       snapshot::put_backbone(e, *backbone_, config_.num_cells);
     }
   }
-  {
-    auto& e = w.begin_section("engine");
-    snapshot::put_engine(e, reservation_engine_);
-  }
-  {
-    auto& e = w.begin_section("telemetry");
-    e.b(telemetry_.enabled());
-    if (telemetry_.enabled()) {
-      // Raw registry snapshot: telemetry_snapshot() would sync gauges and
-      // mutate state, which save() must never do.
-      snapshot::put_metrics_snapshot(e, telemetry_.registry().snapshot());
-      snapshot::put_trace_buffer(e, telemetry_.buffer());
-    }
-  }
-  {
-    auto& e = w.begin_section("fault");
-    const bool present = fault_ != nullptr;
-    e.b(present);
-    if (present) fault_->save(e);
-  }
-
+  core_.save_tail(w);
   w.finish(os);
 }
 
@@ -205,19 +140,8 @@ void CellularSystem::restore_from(const snapshot::Reader& reader) {
   PABR_CHECK(mobiles_.empty() && pending_retries_.empty(),
              "restore_from on a used system");
 
-  double now = 0.0;
-  std::uint64_t executed = 0;
-  std::uint64_t saved_next_seq = 0;
-  std::uint64_t saved_next_id = 0;
-  {
-    auto d = reader.open("simulator");
-    now = d.f64();
-    executed = d.u64();
-    saved_next_seq = d.u64();
-    saved_next_id = d.u64();
-    events_since_audit_ = static_cast<int>(d.u64());
-    d.finish();
-  }
+  snapshot::CalendarReplay replay(reader);
+  events_since_audit_ = replay.events_since_audit();
   {
     auto d = reader.open("rngs");
     const std::string workload_state = d.str();
@@ -227,21 +151,7 @@ void CellularSystem::restore_from(const snapshot::Reader& reader) {
     route_rng_.load_state(d.str());
     d.finish();
   }
-  {
-    auto d = reader.open("cells");
-    for (Cell& cell : cells_) snapshot::restore_cell(d, cell);
-    d.finish();
-  }
-  {
-    auto d = reader.open("stations");
-    for (BaseStation& bs : stations_) snapshot::restore_station(d, bs);
-    d.finish();
-  }
-  {
-    auto d = reader.open("metrics");
-    for (CellMetrics& m : metrics_) snapshot::restore_cell_metrics(d, m);
-    d.finish();
-  }
+  core_.restore_cells(reader);
   {
     auto d = reader.open("traces");
     const std::uint32_t n = d.u32();
@@ -257,14 +167,6 @@ void CellularSystem::restore_from(const snapshot::Reader& reader) {
     d.finish();
   }
 
-  // Saved live events, re-scheduled below in ascending original-seq
-  // order so fresh consecutive seqs reproduce the original ordering.
-  struct SavedEvent {
-    std::uint64_t seq;
-    std::function<void()> schedule;
-  };
-  std::vector<SavedEvent> events;
-
   {
     auto d = reader.open("mobiles");
     const std::uint32_t n = d.u32();
@@ -275,51 +177,39 @@ void CellularSystem::restore_from(const snapshot::Reader& reader) {
       rec.crossing_boundary_km = d.f64();
       rec.dual_cell = static_cast<geom::CellId>(d.i64());
       rec.dual_bw = static_cast<traffic::Bandwidth>(d.i64());
-      const auto expiry = get_pending(d);
-      const auto crossing = get_pending(d);
-      const auto zone_entry = get_pending(d);
+      const auto expiry = snapshot::get_pending(d);
+      const auto crossing = snapshot::get_pending(d);
+      const auto zone_entry = snapshot::get_pending(d);
       const traffic::ConnectionId id = rec.m.id;
       auto [it, inserted] = mobiles_.emplace(id, std::move(rec));
       PABR_CHECK(inserted, "duplicate mobile id in snapshot");
       MobileRecord* r = &it->second;
-      if (expiry.has_value()) {
-        events.push_back({expiry->seq, [this, r, when = expiry->when, id] {
-                            r->expiry = simulator_.schedule_at(when, [this, id] {
-                              handle_expiry(id);
-                              maybe_audit();
-                            });
-                          }});
-      }
-      if (crossing.has_value()) {
-        events.push_back(
-            {crossing->seq, [this, r, when = crossing->when, id] {
-               r->crossing = simulator_.schedule_at(when, [this, id] {
-                 handle_crossing(id);
-                 maybe_audit();
-               });
-             }});
-      }
-      if (zone_entry.has_value()) {
-        events.push_back(
-            {zone_entry->seq, [this, r, when = zone_entry->when, id] {
-               r->zone_entry = simulator_.schedule_at(when, [this, id] {
-                 handle_zone_entry(id);
-                 maybe_audit();
-               });
-             }});
-      }
+      replay.add(expiry, [this, r, id](sim::Time when) {
+        r->expiry = simulator_.schedule_at(when, [this, id] {
+          handle_expiry(id);
+          maybe_audit();
+        });
+      });
+      replay.add(crossing, [this, r, id](sim::Time when) {
+        r->crossing = simulator_.schedule_at(when, [this, id] {
+          handle_crossing(id);
+          maybe_audit();
+        });
+      });
+      replay.add(zone_entry, [this, r, id](sim::Time when) {
+        r->zone_entry = simulator_.schedule_at(when, [this, id] {
+          handle_zone_entry(id);
+          maybe_audit();
+        });
+      });
     }
     d.finish();
   }
   {
     auto d = reader.open("arrival");
-    const auto arrival = get_pending(d);
+    replay.add(snapshot::get_pending(d),
+               [this](sim::Time when) { schedule_arrival_at(when); });
     d.finish();
-    if (arrival.has_value()) {
-      events.push_back({arrival->seq, [this, when = arrival->when] {
-                          schedule_arrival_at(when);
-                        }});
-    }
   }
   {
     auto d = reader.open("retries");
@@ -327,21 +217,17 @@ void CellularSystem::restore_from(const snapshot::Reader& reader) {
     const std::uint32_t n = d.u32();
     for (std::uint32_t i = 0; i < n; ++i) {
       const std::uint64_t token = d.u64();
-      const sim::Time when = d.f64();
-      const std::uint64_t seq = d.u64();
-      traffic::ConnectionRequest req = snapshot::get_request(d);
-      events.push_back(
-          {seq, [this, token, when, req = std::move(req)]() mutable {
-             schedule_retry_event(token, when, std::move(req));
-           }});
+      sim::EventQueue::PendingInfo p;
+      p.when = d.f64();
+      p.seq = d.u64();
+      replay.add(p, [this, token, req = snapshot::get_request(d)](
+                        sim::Time when) mutable {
+        schedule_retry_event(token, when, std::move(req));
+      });
     }
     d.finish();
   }
-  {
-    auto d = reader.open("accountant");
-    snapshot::restore_accountant(d, accountant_);
-    d.finish();
-  }
+  core_.restore_accountant(reader);
   {
     auto d = reader.open("interconnect");
     snapshot::restore_interconnect(d, interconnect_);
@@ -367,43 +253,8 @@ void CellularSystem::restore_from(const snapshot::Reader& reader) {
     }
     d.finish();
   }
-  {
-    auto d = reader.open("engine");
-    snapshot::restore_engine(d, reservation_engine_);
-    d.finish();
-  }
-  {
-    auto d = reader.open("telemetry");
-    const bool enabled = d.b();
-    PABR_CHECK(enabled == telemetry_.enabled(),
-               "snapshot/build disagree on telemetry");
-    if (enabled) {
-      const telemetry::MetricsSnapshot snap =
-          snapshot::get_metrics_snapshot(d);
-      telemetry_.registry().restore(snap);
-      snapshot::restore_trace_buffer(d, telemetry_.buffer());
-    }
-    d.finish();
-  }
-  {
-    auto d = reader.open("fault");
-    const bool present = d.b();
-    PABR_CHECK(present == (fault_ != nullptr),
-               "snapshot/build disagree on fault injection");
-    if (present) fault_->load(d);
-    d.finish();
-  }
-
-  std::sort(events.begin(), events.end(),
-            [](const SavedEvent& a, const SavedEvent& b) {
-              return a.seq < b.seq;
-            });
-  for (SavedEvent& ev : events) ev.schedule();
-
-  simulator_.advance_queue_counters(
-      std::max(saved_next_seq, simulator_.queue_next_seq()),
-      std::max(saved_next_id, simulator_.queue_next_id()));
-  simulator_.restore_clock(now, executed);
+  core_.restore_tail(reader);
+  replay.finish(simulator_);
 }
 
 }  // namespace pabr::core

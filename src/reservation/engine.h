@@ -73,6 +73,10 @@ class IncrementalEngine {
   explicit IncrementalEngine(RouteNextFn route_next = nullptr)
       : route_next_(std::move(route_next)) {}
 
+  /// The route-known next-cell map the terms are evaluated with (null
+  /// when the deployment has none); the scratch Eq. (5) uses the same.
+  const RouteNextFn& route_next() const { return route_next_; }
+
   /// Adds Eq. (5) — the expected hand-in bandwidth from `source` into
   /// `target` within the target's `t_est` — onto `running`, term by term
   /// in connection-id order, and returns the new running sum. `table` and

@@ -126,7 +126,7 @@ void ShardedExecutor::write_checkpoint(
     std::uint64_t admissions = 0;
     std::uint64_t total = 0;
     for (const auto& shard : shards) {
-      const auto& acc = shard->accountant();
+      const auto& acc = shard->core().accountant();
       per_admission_sum += acc.per_admission_sum();
       admissions += acc.admissions_observed();
       total += acc.total_br_calculations();
@@ -141,12 +141,12 @@ void ShardedExecutor::write_checkpoint(
     // the partition, so they are excluded from the checkpoint (DESIGN.md
     // §13 documents the resulting post-resume histogram divergence).
     auto& e = w.begin_section("telemetry");
-    const bool enabled = shards.front()->telemetry().enabled();
+    const bool enabled = shards.front()->core().telemetry().enabled();
     e.b(enabled);
     if (enabled) {
       std::vector<telemetry::MetricsSnapshot> snaps;
       for (const auto& shard : shards) {
-        snaps.push_back(shard->telemetry().snapshot());
+        snaps.push_back(shard->core().telemetry().snapshot());
       }
       const telemetry::MetricsSnapshot merged =
           telemetry::merge_snapshots(snaps);
@@ -210,13 +210,13 @@ std::uint64_t ShardedExecutor::restore_checkpoint(
     d.finish();
     // The aggregate lands on shard 0 (the others start from zero): the
     // end-of-run merge only ever reads the cross-shard sums.
-    shards.front()->accountant_mutable().restore(per_admission_sum,
-                                                 admissions, total);
+    shards.front()->core().accountant().restore(per_admission_sum,
+                                                admissions, total);
   }
   {
     auto d = reader.open("telemetry");
     const bool enabled = d.b();
-    PABR_CHECK(enabled == shards.front()->telemetry().enabled(),
+    PABR_CHECK(enabled == shards.front()->core().telemetry().enabled(),
                "snapshot/build disagree on telemetry");
     if (enabled) {
       telemetry::MetricsSnapshot snap;
@@ -227,7 +227,7 @@ std::uint64_t ShardedExecutor::restore_checkpoint(
         const std::uint64_t value = d.u64();
         snap.counters.emplace_back(name, value);
       }
-      shards.front()->telemetry().registry().restore(snap);
+      shards.front()->core().telemetry().registry().restore(snap);
     }
     d.finish();
   }

@@ -1,5 +1,6 @@
 #include "snapshot/parts.h"
 
+#include <algorithm>
 #include <array>
 #include <optional>
 #include <string>
@@ -426,6 +427,61 @@ void restore_series(Decoder& d, sim::Series& s) {
     const double v = d.f64();
     s.add(t, v);
   }
+}
+
+// ---- Event calendar ------------------------------------------------------
+
+void put_pending(Encoder& e,
+                 const std::optional<sim::EventQueue::PendingInfo>& p) {
+  e.b(p.has_value());
+  if (p.has_value()) {
+    e.f64(p->when);
+    e.u64(p->seq);
+  }
+}
+
+std::optional<sim::EventQueue::PendingInfo> get_pending(Decoder& d) {
+  if (!d.b()) return std::nullopt;
+  sim::EventQueue::PendingInfo p;
+  p.when = d.f64();
+  p.seq = d.u64();
+  return p;
+}
+
+void put_simulator(Writer& w, const sim::Simulator& s,
+                   int events_since_audit) {
+  auto& e = w.begin_section("simulator");
+  e.f64(s.now());
+  e.u64(s.events_executed());
+  e.u64(s.queue_next_seq());
+  e.u64(s.queue_next_id());
+  e.u64(static_cast<std::uint64_t>(events_since_audit));
+}
+
+CalendarReplay::CalendarReplay(const Reader& reader) {
+  auto d = reader.open("simulator");
+  now_ = d.f64();
+  executed_ = d.u64();
+  next_seq_ = d.u64();
+  next_id_ = d.u64();
+  events_since_audit_ = static_cast<int>(d.u64());
+  d.finish();
+}
+
+void CalendarReplay::add(
+    const std::optional<sim::EventQueue::PendingInfo>& pending,
+    Schedule schedule) {
+  if (pending.has_value()) saved_.push_back({*pending, std::move(schedule)});
+}
+
+void CalendarReplay::finish(sim::Simulator& s) {
+  std::sort(saved_.begin(), saved_.end(), [](const Saved& a, const Saved& b) {
+    return a.pending.seq < b.pending.seq;
+  });
+  for (Saved& ev : saved_) ev.schedule(ev.pending.when);
+  s.advance_queue_counters(std::max(next_seq_, s.queue_next_seq()),
+                           std::max(next_id_, s.queue_next_id()));
+  s.restore_clock(now_, executed_);
 }
 
 // ---- Radio / control-plane state ----------------------------------------

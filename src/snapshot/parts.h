@@ -11,6 +11,9 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <vector>
 
 #include "backhaul/network.h"
 #include "backhaul/signaling.h"
@@ -21,7 +24,9 @@
 #include "core/system.h"
 #include "mobility/mobile.h"
 #include "reservation/engine.h"
+#include "sim/event_queue.h"
 #include "sim/series.h"
+#include "sim/simulator.h"
 #include "sim/stats.h"
 #include "snapshot/format.h"
 #include "telemetry/metrics.h"
@@ -52,6 +57,50 @@ void restore_cell_metrics(Decoder& d, core::CellMetrics& m);
 
 void put_series(Encoder& e, const sim::Series& s);
 void restore_series(Decoder& d, sim::Series& s);
+
+// ---- Event calendar ------------------------------------------------------
+/// Pending-event slot: presence flag + fire time + insertion seq.
+void put_pending(Encoder& e,
+                 const std::optional<sim::EventQueue::PendingInfo>& p);
+std::optional<sim::EventQueue::PendingInfo> get_pending(Decoder& d);
+
+/// The "simulator" section of a serial engine: clock, executed-event
+/// tally, queue counters and the position in the audit cadence.
+void put_simulator(Writer& w, const sim::Simulator& s, int events_since_audit);
+
+/// Rebuilds a serial engine's event calendar on load. Saved events are
+/// re-scheduled in ascending original-seq order: fresh consecutive seqs
+/// preserve the original relative order of time ties, which is all the
+/// event queue's comparator looks at, so the resumed trajectory is
+/// bitwise identical (invariant I10).
+class CalendarReplay {
+ public:
+  using Schedule = std::function<void(sim::Time when)>;
+
+  /// Reads the "simulator" section.
+  explicit CalendarReplay(const Reader& reader);
+  int events_since_audit() const { return events_since_audit_; }
+
+  /// Queues the re-scheduling of a saved pending slot (nothing when the
+  /// slot is empty); `schedule` receives the saved fire time.
+  void add(const std::optional<sim::EventQueue::PendingInfo>& pending,
+           Schedule schedule);
+  /// Re-schedules every queued event onto `s` in original-seq order, then
+  /// restores the clock and the queue counters.
+  void finish(sim::Simulator& s);
+
+ private:
+  struct Saved {
+    sim::EventQueue::PendingInfo pending;
+    Schedule schedule;
+  };
+  sim::Time now_ = 0.0;
+  std::uint64_t executed_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_id_ = 0;
+  int events_since_audit_ = 0;
+  std::vector<Saved> saved_;
+};
 
 // ---- Radio / control-plane state ----------------------------------------
 /// The id-sorted connection table with each entry's reservation view;
