@@ -26,7 +26,7 @@ constexpr int kSources = 12;
 constexpr int kTargets = 6;  // 72 live pairs > 64-slot initial table
 
 /// The scratch Eq. (5) rescan the engine must reproduce bit for bit
-/// (mirrors core::CellularSystem::rescan_contribution, route-free case).
+/// (mirrors core::CellCore::contribution, route-free case).
 double scratch_contribution(const std::vector<traffic::ConnectionEntry>& table,
                             const hoef::HandoffEstimator& estimator,
                             geom::CellId target, sim::Time t,
