@@ -23,8 +23,9 @@ int main(int argc, char** argv) {
   cli::Parser cli("ablation_adaptive_qos",
                   "adaptive QoS + soft capacity on top of AC3 (§1, §7)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
-  cli.add_double("voice-ratio", &voice_ratio, "fraction of voice traffic");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
+  cli.add_double("voice-ratio", &voice_ratio, "fraction of voice traffic",
+                 0.0, 1.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Ablation — adaptive QoS and soft capacity (§1, §7)");

@@ -14,7 +14,7 @@ int main(int argc, char** argv) {
   cli::Parser cli("ablation_backhaul",
                   "star-MSC vs fully-connected BS interconnect (Fig. 1)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Ablation — BS interconnect topologies (Fig. 1)");

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   cli::Parser cli("ablation_gps_routes",
                   "fraction of route-known (ITS/GPS) mobiles (paper §7)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Ablation — ITS/GPS route knowledge (§7 extension)");

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
   cli::Parser cli("ablation_nquad",
                   "sensitivity to the history size N_quad (paper §3.1)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Ablation — hand-off history size N_quad (§3.1)");

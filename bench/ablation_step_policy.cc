@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
                   "T_est step-size rules: fixed vs additive vs "
                   "multiplicative (paper §4.2)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Ablation — T_est adjustment step sizes (§4.2)");

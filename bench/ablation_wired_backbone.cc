@@ -16,7 +16,7 @@ int main(int argc, char** argv) {
   cli::Parser cli("ablation_wired_backbone",
                   "wired access-link provisioning (§2/§7 extension)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Ablation — wired backbone provisioning (§2/§7)");

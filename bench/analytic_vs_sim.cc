@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   cli::Parser cli("analytic_vs_sim",
                   "static reservation: simulator vs guard-channel theory");
   bench::add_common_flags(cli, opts);
-  cli.add_double("g", &g, "guard bandwidth (BUs)");
+  cli.add_double("g", &g, "guard bandwidth (BUs)", 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Cross-validation — simulator vs Hong/Rappaport "

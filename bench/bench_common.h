@@ -35,8 +35,7 @@ struct CommonOptions {
   std::string csv_path;
   std::string json_path;
   int threads = 1;
-  /// --telemetry: collect counters/histograms (no-op when PABR_TELEMETRY
-  /// is compiled out; the flag then just warns).
+  /// --telemetry: collect counters/histograms.
   bool telemetry = false;
   /// --trace-out PATH: write a binary event trace; implies --telemetry.
   std::string trace_out;
@@ -87,19 +86,11 @@ inline void add_threads_flag(cli::Parser& cli, CommonOptions& opts) {
 /// simulation trajectories are byte-identical whatever these are set to.
 inline void add_telemetry_flags(cli::Parser& cli, CommonOptions& opts) {
   cli.add_bool("telemetry", &opts.telemetry,
-               "collect run counters/histograms (needs a PABR_TELEMETRY "
-               "build; reported under \"metrics\" in --json)");
+               "collect run counters/histograms (reported under "
+               "\"metrics\" in --json)");
   cli.add_string("trace-out", &opts.trace_out,
                  "write a binary event trace (.pabrtrace) to this path; "
                  "implies --telemetry (inspect with pabr-trace)");
-}
-
-/// Warns once when telemetry was requested but compiled out.
-inline void warn_if_telemetry_unavailable(const CommonOptions& opts) {
-  if (opts.telemetry_requested() && !buildinfo::telemetry_enabled()) {
-    std::cerr << "warning: --telemetry/--trace-out requested but this "
-                 "build has PABR_TELEMETRY=OFF; collecting nothing\n";
-  }
 }
 
 /// Writes the merged .pabrtrace for a bench run: one stream per
@@ -149,8 +140,7 @@ inline void write_bench_trace(const std::string& bench,
 ///
 ///   {"bench": "...", "seed": 3, "full": false,
 ///    "meta": {"git_sha": "...", "build_type": "...", "threads": 1,
-///             "audit_enabled": false, "telemetry_compiled": true,
-///             "telemetry": false, "fault_compiled": true},
+///             "telemetry": false},
 ///    "columns": [...], "rows": [[...], ...],
 ///    "counters": {"wall_seconds": 12.3, ...},
 ///    "metrics": {"counters": {...}, "gauges": {...},
@@ -168,14 +158,8 @@ class JsonReport {
     meta_.emplace_back("git_sha", quote(buildinfo::git_sha()));
     meta_.emplace_back("build_type", quote(buildinfo::build_type()));
     meta_.emplace_back("threads", number(opts.threads));
-    meta_.emplace_back("audit_enabled",
-                       buildinfo::audit_enabled() ? "true" : "false");
-    meta_.emplace_back("telemetry_compiled",
-                       buildinfo::telemetry_enabled() ? "true" : "false");
     meta_.emplace_back("telemetry",
                        opts.telemetry_requested() ? "true" : "false");
-    meta_.emplace_back("fault_compiled",
-                       buildinfo::fault_enabled() ? "true" : "false");
   }
 
   bool active() const { return !path_.empty(); }

@@ -11,8 +11,6 @@
 // static degraded floor, so P_HD should degrade smoothly toward
 // static-reservation behavior rather than collapse.
 //
-// Needs a PABR_FAULT build to be meaningful — with the hooks compiled
-// out every row reproduces the r = 0 baseline (a warning is printed).
 // Each rate point is an independent run; --threads N fans the sweep over
 // a pool with byte-identical output.
 #include <chrono>
@@ -30,13 +28,8 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli, opts);
   bench::add_threads_flag(cli, opts);
   bench::add_telemetry_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell (BU)");
+  cli.add_double("load", &load, "offered load per cell (BU)", 0.0);
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
-  if (!buildinfo::fault_enabled()) {
-    std::cerr << "warning: fault-injection hooks compiled out "
-                 "(PABR_FAULT=OFF); every row is the fault-free baseline\n";
-  }
 
   bench::print_banner("Degraded mode — P_CB/P_HD vs fault rate, AC3, load " +
                       csv::Writer::format(load));

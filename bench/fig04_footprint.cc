@@ -23,7 +23,8 @@ int main(int argc, char** argv) {
                   "hand-off estimation function footprint (paper Fig. 4)");
   bench::add_common_flags(cli, opts);
   cli.add_bool("low-mobility", &low_mobility, "use the 40-60 km/h range");
-  cli.add_double("duration", &duration, "seconds of history to collect");
+  cli.add_double("duration", &duration, "seconds of history to collect",
+                 0.0);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Figure 4 — footprint of F_HOE at cell <5>, "

@@ -22,9 +22,8 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli, opts);
   bench::add_threads_flag(cli, opts);
   bench::add_telemetry_flags(cli, opts);
-  cli.add_double("g", &g, "statically reserved BUs per cell");
+  cli.add_double("g", &g, "statically reserved BUs per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Figure 7 — static reservation, G = " +
                       core::TablePrinter::fixed(g, 0) + " BU");

@@ -17,8 +17,9 @@ int main(int argc, char** argv) {
   cli::Parser cli("fig10_test_window_trace",
                   "T_est and B_r vs time, cells <5>/<6> (paper Fig. 10)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("duration", &duration, "simulated seconds from cold start");
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("duration", &duration, "simulated seconds from cold start",
+                 0.0);
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
   if (opts.full) duration = std::max(duration, 2000.0);
 

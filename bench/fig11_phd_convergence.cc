@@ -15,7 +15,8 @@ int main(int argc, char** argv) {
   cli::Parser cli("fig11_phd_convergence",
                   "P_HD vs time at cells <5>/<6> (paper Fig. 11)");
   bench::add_common_flags(cli, opts);
-  cli.add_double("duration", &duration, "simulated seconds from cold start");
+  cli.add_double("duration", &duration, "simulated seconds from cold start",
+                 0.0);
   if (!cli.parse(argc, argv)) return 1;
   if (opts.full) duration = std::max(duration, 4000.0);
 

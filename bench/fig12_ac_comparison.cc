@@ -21,7 +21,6 @@ int main(int argc, char** argv) {
   bench::add_threads_flag(cli, opts);
   bench::add_telemetry_flags(cli, opts);
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Figure 12 — admission-control comparison "
                       "(high mobility)");

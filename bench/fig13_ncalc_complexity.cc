@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli, opts);
   bench::add_telemetry_flags(cli, opts);
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Figure 13 — admission-test complexity (N_calc)");
   csv::Writer csv(opts.csv_path);

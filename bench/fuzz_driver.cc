@@ -10,8 +10,8 @@
 // chained snapshots). All three trajectory digests must match bitwise.
 // The whole batch is then re-run across the thread pool (--threads N)
 // and every digest must match the sequential batch byte for byte. Every
-// run carries the per-event invariant audit (PABR_AUDIT builds honor
-// --audit-every; every build gets the explicit end-of-run sweep).
+// run carries the per-event invariant audit (--audit-every) and the
+// explicit end-of-run sweep.
 //
 // --resume-from FILE switches to a one-shot branch mode instead: the
 // snapshot is loaded (linear or hex, auto-detected), run for
@@ -209,7 +209,7 @@ int guided_mode(const GenomeModeOptions& opt) {
   const std::size_t replayed = corpus.size();
   // Bootstrap an empty corpus from blind random genomes.
   if (corpus.empty()) {
-    const int boot = std::min(8, std::max(1, opt.max_execs));
+    const int boot = std::min(8, opt.max_execs);
     for (int i = 0; i < boot; ++i) {
       corpus.push_back(fuzz::random_genome(
           opt.base_seed + static_cast<std::uint64_t>(i), opt.faults));
@@ -305,10 +305,10 @@ int main(int argc, char** argv) {
   cli.add_uint64("base-seed", &base_seed, "first scenario seed");
   cli.add_int("audit-every", &audit_every,
               "run the invariant sweep every Nth event (0 = end-of-run "
-              "checkpoint only; needs a PABR_AUDIT build to matter)");
+              "checkpoint only)", 0);
   cli.add_bool("faults", &faults,
                "draw a random fault schedule per seed (link/station "
-               "outages, message loss) — needs a PABR_FAULT build");
+               "outages, message loss)");
   double checkpoint_every = 0.0;
   std::string resume_from;
   double resume_for = 0.0;
@@ -335,7 +335,8 @@ int main(int argc, char** argv) {
                  "where minimized reproducers are written (default: the "
                  "corpus dir)");
   cli.add_int("max-execs", &max_execs,
-              "genome execution budget for --guided / --inject-bug modes");
+              "genome execution budget for --guided / --inject-bug modes",
+              1);
   cli.add_bool("minimize", &minimize,
                "delta-debug any violating genome down to a 1-minimal "
                "reproducer before writing it out");
@@ -356,11 +357,6 @@ int main(int argc, char** argv) {
     gopt.repro_dir = repro_dir;
     gopt.bug.resumed_off_by_one = inject_bug;
     return guided ? guided_mode(gopt) : blind_genome_mode(gopt);
-  }
-  if (faults && !buildinfo::fault_enabled()) {
-    std::cout << "warning: --faults requested but fault-injection hooks were "
-                 "compiled out (PABR_FAULT=OFF); schedules are generated but "
-                 "inert\n";
   }
   if (opts.full) seeds = std::max(seeds, 500);
   if (opts.threads <= 0) opts.threads = sim::hardware_threads();

@@ -65,14 +65,8 @@ int main(int argc, char** argv) {
               0);
   cli.add_uint64("base-seed", &base_seed, "first scenario seed");
   cli.add_bool("faults", &faults,
-               "add scripted outage windows per seed — needs a PABR_FAULT "
-               "build to matter");
+               "add scripted outage windows per seed");
   if (!cli.parse(argc, argv)) return 1;
-  if (faults && !buildinfo::fault_enabled()) {
-    std::cout << "warning: --faults requested but fault-injection hooks "
-                 "were compiled out (PABR_FAULT=OFF); outage windows are "
-                 "generated but inert\n";
-  }
   if (opts.full) seeds = std::max(seeds, 120);
   if (opts.threads <= 0) opts.threads = sim::hardware_threads();
 

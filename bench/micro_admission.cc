@@ -91,9 +91,8 @@ int main(int argc, char** argv) {
                   "rescan");
   bench::add_common_flags(cli, opts);
   bench::add_telemetry_flags(cli, opts);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Micro — admission cost, incremental vs scratch "
                       "(L = " + core::TablePrinter::fixed(load, 0) +

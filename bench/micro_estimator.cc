@@ -66,7 +66,8 @@ int main(int argc, char** argv) {
                   "ns per estimator hot-path operation: record, probe, "
                   "snapshot rebuild, select, footprint");
   bench::add_common_flags(cli, opts);
-  cli.add_int("events", &events, "quadruplets pre-recorded per estimator");
+  cli.add_int("events", &events, "quadruplets pre-recorded per estimator",
+              1);
   if (!cli.parse(argc, argv)) return 1;
 
   bench::print_banner("Micro — estimator hot paths (record / probe / "

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   bench::add_threads_flag(cli, opts);
   bench::add_telemetry_flags(cli, opts);
   cli.add_int("seeds", &seeds, "independent replications per scheme", 1);
-  cli.add_double("load", &load, "offered load per cell");
+  cli.add_double("load", &load, "offered load per cell", 0.0);
   double checkpoint_every = 0.0;
   std::string checkpoint_path = "replication_ci.pabrsnap";
   std::string resume_from;
@@ -44,7 +44,6 @@ int main(int argc, char** argv) {
                  "the replication table");
   if (!cli.parse(argc, argv)) return 1;
   if (opts.full) seeds = std::max(seeds, 10);
-  bench::warn_if_telemetry_unavailable(opts);
 
   if (!resume_from.empty()) {
     core::RunPlan plan = opts.plan();

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
   cli.add_int("rows", &rows_override, "override grid rows (0 = sweep)", 0);
   cli.add_int("cols", &cols_override, "override grid cols (0 = sweep)", 0);
   cli.add_double("duration", &duration_override,
-                 "override simulated seconds (0 = per-grid default)");
+                 "override simulated seconds (0 = per-grid default)", 0.0);
   double checkpoint_every = 0.0;
   std::string checkpoint_path = "scale_sweep.pabrsnap";
   std::string resume_from;
@@ -76,7 +76,6 @@ int main(int argc, char** argv) {
                  "point with --rows/--cols/--shards; the file is "
                  "digest-checked against the point's config)");
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
   if (!resume_from.empty() &&
       (rows_override <= 0 || cols_override <= 0 || only_shards <= 0)) {
     std::cerr << "scale_sweep: --resume-from needs --rows, --cols and "

@@ -70,7 +70,6 @@ int main(int argc, char** argv) {
   bench::add_common_flags(cli, opts);
   bench::add_telemetry_flags(cli, opts);
   if (!cli.parse(argc, argv)) return 1;
-  bench::warn_if_telemetry_unavailable(opts);
 
   bench::print_banner("Table 2 — per-cell status at end of run "
                       "(L = 300, R_vo = 1.0, high mobility, ring)");

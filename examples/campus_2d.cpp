@@ -23,12 +23,17 @@ int main(int argc, char** argv) {
   unsigned long long seed = 1;
   cli::Parser cli("campus_2d",
                   "2-D hexagonal campus (the paper's future-work case)");
-  cli.add_int("rows", &rows, "hex grid rows");
-  cli.add_int("cols", &cols, "hex grid columns (even, torus)");
-  cli.add_double("load", &load, "offered load per cell (BU, Eq. 7)");
-  cli.add_int("minutes", &minutes, "simulated minutes (1/3 warm-up)");
+  cli.add_int("rows", &rows, "hex grid rows", 2);
+  cli.add_int("cols", &cols, "hex grid columns (even, torus)", 2);
+  cli.add_double("load", &load, "offered load per cell (BU, Eq. 7)", 0.0);
+  cli.add_int("minutes", &minutes, "simulated minutes (1/3 warm-up)", 1);
   cli.add_uint64("seed", &seed, "simulation seed");
   if (!cli.parse(argc, argv)) return 1;
+  if (cols % 2 != 0) {
+    std::cerr << "campus_2d: bad value for --cols: '" << cols
+              << "' (the torus needs an even column count)\n";
+    return 1;
+  }
 
   std::cout << "campus_2d — " << rows << "x" << cols << " hex torus, "
             << load << " BU/cell offered, pedestrians 3-6 km/h on 100 m "

@@ -22,8 +22,9 @@ int main(int argc, char** argv) {
   unsigned long long seed = 1;
   cli::Parser cli("highway_qos",
                   "compare all admission schemes on one highway workload");
-  cli.add_double("load", &load, "offered load per cell (BU, Eq. 7)");
-  cli.add_double("voice-ratio", &voice_ratio, "fraction of voice traffic");
+  cli.add_double("load", &load, "offered load per cell (BU, Eq. 7)", 0.0);
+  cli.add_double("voice-ratio", &voice_ratio, "fraction of voice traffic",
+                 0.0, 1.0);
   cli.add_bool("low-mobility", &low_mobility, "40-60 km/h instead of 80-120");
   cli.add_uint64("seed", &seed, "simulation seed");
   if (!cli.parse(argc, argv)) return 1;

@@ -33,9 +33,10 @@ int main(int argc, char** argv) {
 
   pabr::cli::Parser cli("quickstart",
                         "minimal PABR simulation on the 10-cell ring");
-  cli.add_double("load", &load, "offered load per cell in BUs (Eq. 7)");
+  cli.add_double("load", &load, "offered load per cell in BUs (Eq. 7)", 0.0);
   cli.add_double("voice-ratio", &voice_ratio,
-                 "fraction of 1-BU voice connections (rest are 4-BU video)");
+                 "fraction of 1-BU voice connections (rest are 4-BU video)",
+                 0.0, 1.0);
   cli.add_string("policy", &policy, "ac1 | ac2 | ac3 | static");
   cli.add_uint64("seed", &seed, "simulation seed");
   if (!cli.parse(argc, argv)) return 1;

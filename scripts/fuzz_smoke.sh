@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
-# Differential fuzz smoke: run bench/fuzz_driver for a modest seed batch
-# against an audit-enabled build. Every seed expands into a randomized
+# Differential fuzz smoke: run bench/fuzz_driver for a modest seed batch.
+# Every seed expands into a randomized
 # scenario run under the per-event invariant sweep, with trajectories
 # compared bitwise across incremental-vs-scratch reservation and
 # 1-vs-N threads. Exit status is the driver's (0 = clean).
 #
 # Usage: scripts/fuzz_smoke.sh [--faults] [build-dir] [seeds]
 #   --faults   additionally draw a random fault schedule per seed
-#              (link/station outages, message loss; PABR_FAULT builds)
+#              (link/station outages, message loss)
 #   build-dir  existing configured build tree (default: build)
 #   seeds      number of scenario seeds      (default: 200)
 set -euo pipefail

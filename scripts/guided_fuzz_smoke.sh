@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Guided-fuzz smoke: exercise the coverage-guided genome fuzzer end to
-# end against an audit-enabled build.
+# end.
 #
 #   1. replay the checked-in tests/corpus reproducers (oracles clean),
 #      then continue a short guided hunt from them — exit 0 expected

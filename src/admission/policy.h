@@ -110,7 +110,7 @@ class AdmissionPolicy {
   /// "<policy>.rejects", plus scheme-specific extras such as AC3's
   /// participation tally) on `registry` and starts bumping them on every
   /// admit() call. The default keeps the policy uninstrumented; bumps are
-  /// no-ops until bound and fold away when telemetry is compiled out.
+  /// no-ops until bound.
   virtual void bind_telemetry(telemetry::Registry& registry) {
     (void)registry;
   }

@@ -82,8 +82,7 @@ class SignalingAccountant {
   }
 
   /// Mirrors every recorded B_r calculation onto a telemetry counter
-  /// (telemetry/metrics.h). No-op until bound; folds away when telemetry
-  /// is compiled out.
+  /// (telemetry/metrics.h). No-op until bound.
   void bind_telemetry(telemetry::Counter* br_calculations) {
     tel_br_calculations_ = br_calculations;
   }

@@ -35,11 +35,9 @@ CellCore::CellCore(const CellCoreConfig& config)
     m.bu_mean.update(config.time_origin, 0.0);
   }
 
-#ifdef PABR_FAULT_ENABLED
   if (config.fault.enabled) {
     fault_ = std::make_unique<fault::FaultInjector>(config.fault);
   }
-#endif
 
   telemetry_.configure(config.telemetry);
   if (telemetry_.enabled()) {

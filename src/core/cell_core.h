@@ -124,16 +124,9 @@ class CellCore {
   const telemetry::SimCounters& tel() const { return tel_; }
   const telemetry::FaultCounters& fault_tel() const { return fault_tel_; }
 
-  /// True when fault hooks are compiled in AND the run enabled them. The
-  /// one PABR_FAULT switch of the query side: with the hooks compiled out
-  /// this folds to false and every degraded-mode branch below is dead.
-  bool faults_on() const {
-#ifdef PABR_FAULT_ENABLED
-    return fault_ != nullptr;
-#else
-    return false;
-#endif
-  }
+  /// True when the run enabled fault injection. When false every
+  /// degraded-mode branch below is dead.
+  bool faults_on() const { return fault_ != nullptr; }
   /// The run's injector (null without fault injection).
   fault::FaultInjector* fault_injector() { return fault_.get(); }
 

@@ -38,8 +38,8 @@ struct RunResult {
   double wall_seconds = 0.0;
   std::uint64_t events = 0;
   /// Telemetry collected over the measurement phase (empty when telemetry
-  /// is disabled or compiled out). The trace is drained from the system's
-  /// ring so replicated runs can be merged deterministically
+  /// is disabled). The trace is drained from the system's ring so
+  /// replicated runs can be merged deterministically
   /// (telemetry::write_merged_trace keyed by seed index).
   telemetry::MetricsSnapshot telemetry;
   std::vector<telemetry::TraceRecord> trace;

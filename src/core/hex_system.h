@@ -69,9 +69,9 @@ struct HexSystemConfig {
   /// (bit-identical to the from-scratch rescan; see reservation/engine.h).
   bool incremental_reservation = true;
 
-  /// Audit cadence: in builds with PABR_AUDIT on, run the full invariant
-  /// sweep (audit_invariants) after every Nth handled simulation event.
-  /// 0 disables the hook (see SystemConfig::audit_every).
+  /// Audit cadence: run the full invariant sweep (audit_invariants) after
+  /// every Nth handled simulation event. 0 disables the hook (see
+  /// SystemConfig::audit_every).
   int audit_every = 0;
 
   /// Telemetry & trace collection (see SystemConfig::telemetry).
@@ -201,16 +201,13 @@ class HexCellularSystem final : public admission::AdmissionContext {
   /// The dense per-connection record the reservation hot loop reads.
   traffic::ReservationView reservation_view(const HexMobile& m) const;
 
-  /// Per-event audit hook (no-op unless built with PABR_AUDIT and enabled
-  /// via config_.audit_every).
+  /// Per-event audit hook (no-op unless enabled via config_.audit_every).
   void maybe_audit() {
-#ifdef PABR_AUDIT_ENABLED
     if (config_.audit_every > 0 &&
         ++events_since_audit_ >= config_.audit_every) {
       events_since_audit_ = 0;
       audit_invariants();
     }
-#endif
   }
 
   HexSystemConfig config_;

@@ -114,23 +114,19 @@ struct SystemConfig {
   // recorded as time series.
   std::vector<geom::CellId> traced_cells;
 
-  /// Audit cadence: in builds with PABR_AUDIT on, run the full invariant
-  /// sweep (audit_invariants) after every Nth handled simulation event.
-  /// 0 disables the hook. Ignored entirely when PABR_AUDIT is off —
-  /// audit_invariants() itself stays callable in every build.
+  /// Audit cadence: run the full invariant sweep (audit_invariants) after
+  /// every Nth handled simulation event. 0 disables the hook.
   int audit_every = 0;
 
-  /// Telemetry & trace collection (telemetry/telemetry.h). Default off;
-  /// with PABR_TELEMETRY compiled out the field is inert. Purely
-  /// observational either way: trajectories are byte-identical with
-  /// telemetry on, off, or compiled out.
+  /// Telemetry & trace collection (telemetry/telemetry.h). Default off.
+  /// Purely observational: trajectories are byte-identical with
+  /// telemetry on or off.
   telemetry::TelemetryConfig telemetry;
 
-  /// Deterministic fault injection (fault/fault.h). Default disabled; with
-  /// PABR_FAULT compiled out the field is inert. When disabled the fault
-  /// branches are never taken and no injector RNG stream is created, so
-  /// trajectories are byte-identical to builds/runs without fault support
-  /// — the same contract as telemetry.
+  /// Deterministic fault injection (fault/fault.h). Default disabled.
+  /// When disabled the fault branches are never taken and no injector RNG
+  /// stream is created, so trajectories are byte-identical to runs without
+  /// fault support — the same contract as telemetry.
   fault::FaultConfig fault;
 
   /// Simulation clock value at construction. The system behaves as if it
@@ -199,7 +195,7 @@ class CellularSystem final : public admission::AdmissionContext {
   const telemetry::Collector& telemetry() const { return core_.telemetry(); }
   /// Metrics snapshot with the polled gauges (N_calc, signalling message
   /// totals, active connections, trace-buffer health) synced first.
-  /// Empty when telemetry is disabled or compiled out.
+  /// Empty when telemetry is disabled.
   telemetry::MetricsSnapshot telemetry_snapshot();
 
   // ---- Introspection ------------------------------------------------------
@@ -223,8 +219,8 @@ class CellularSystem final : public admission::AdmissionContext {
   }
 
   // ---- Fault injection (src/fault/) --------------------------------------
-  /// True when fault hooks are compiled in AND this run enabled them
-  /// (SystemConfig::fault.enabled). Constant false otherwise.
+  /// True when this run enabled fault injection
+  /// (SystemConfig::fault.enabled).
   bool faults_on() const { return core_.faults_on(); }
   /// The run's injector (null without fault injection). Tests use this to
   /// query the sampled link/station timelines the simulation saw.
@@ -240,8 +236,7 @@ class CellularSystem final : public admission::AdmissionContext {
   /// catalogue of audit/invariants.h. Throws InvariantError naming the
   /// first violated invariant. Trajectory-transparent: nothing observable
   /// by the simulation (occupancy, reservations, metrics, RNG streams)
-  /// changes. Available in every build; the per-event hook driven by
-  /// SystemConfig::audit_every additionally needs PABR_AUDIT.
+  /// changes. SystemConfig::audit_every drives it per event.
   void audit_invariants();
 
   // ---- Snapshot (src/core/system_snapshot.cc, format in src/snapshot/) ----
@@ -308,17 +303,14 @@ class CellularSystem final : public admission::AdmissionContext {
   /// (kNoCell past an open border).
   geom::CellId next_cell_in_direction(geom::CellId cell, int direction) const;
 
-  /// Per-event audit hook, called at the end of every event handler.
-  /// Compiles to nothing without PABR_AUDIT; otherwise runs the full
-  /// sweep every config_.audit_every events.
+  /// Per-event audit hook, called at the end of every event handler:
+  /// runs the full sweep every config_.audit_every events.
   void maybe_audit() {
-#ifdef PABR_AUDIT_ENABLED
     if (config_.audit_every > 0 &&
         ++events_since_audit_ >= config_.audit_every) {
       events_since_audit_ = 0;
       audit_invariants();
     }
-#endif
   }
 
   SystemConfig config_;

@@ -26,11 +26,10 @@
 // this request/reply survive, and after how many re-sends", not a source
 // of simulated latency.
 //
-// Compile-time gating mirrors telemetry: this library is always built,
-// but the simulators only construct an injector (and compile the fault
-// branches of their hot paths) under PABR_FAULT; with the option off, or
-// with FaultConfig::enabled false, trajectories are byte-identical to a
-// build without the subsystem.
+// Gating mirrors telemetry: the simulators only construct an injector
+// when FaultConfig::enabled is true; with it false the fault branches are
+// never taken and trajectories are byte-identical to a run without the
+// subsystem.
 #pragma once
 
 #include <cstdint>

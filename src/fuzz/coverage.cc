@@ -113,10 +113,9 @@ Signature run_signature(const Genome& g, const core::SystemStatus& s,
   if (s.drops > 0) add(f, pol + ":drop");
   if (s.degrades > 0) add(f, pol + ":degrade");
 
-  // ---- Telemetry counters (richer regimes when compiled in) ---------------
+  // ---- Telemetry counters -------------------------------------------------
   // The retry ladder, degraded-mode substitutions and soft hand-off flows
-  // only surface here; an empty snapshot (PABR_TELEMETRY=OFF) simply
-  // contributes nothing.
+  // only surface here; an empty snapshot simply contributes nothing.
   for (const auto& [name, value] : m.counters) {
     static const char* kGuided[] = {
         "admission.retries",        "handoff.off_road",

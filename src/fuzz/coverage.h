@@ -38,7 +38,7 @@ std::uint64_t magnitude_bucket(std::uint64_t n);
 
 /// Builds the feature set of a finished run. `status` comes from the
 /// system's system_status(); `metrics` from telemetry_snapshot() (empty
-/// when telemetry is compiled out — coverage degrades gracefully to the
+/// when telemetry is disabled — coverage degrades gracefully to the
 /// SystemStatus features); `wired_blocks`/`wired_drops` from the linear
 /// system's backbone counters (0 for hex runs).
 Signature run_signature(const Genome& genome, const core::SystemStatus& status,

@@ -55,8 +55,8 @@ struct OracleResult {
 };
 
 /// Runs `g` under every oracle. `audit_every` is threaded into the
-/// per-event invariant sweep cadence (0 disables; needs PABR_AUDIT to do
-/// anything). Never throws: model exceptions become "run" violations.
+/// per-event invariant sweep cadence (0 disables). Never throws: model
+/// exceptions become "run" violations.
 OracleResult run_oracles(const Genome& g, int audit_every,
                          const BugConfig& bug = {});
 

@@ -160,8 +160,7 @@ class HandoffEstimator {
 
   /// Mirrors quadruplet ingestion/eviction onto telemetry counters
   /// (telemetry/metrics.h). The owning system binds every station's
-  /// estimator to the same pair; bumps are no-ops until bound and fold
-  /// away when telemetry is compiled out.
+  /// estimator to the same pair; bumps are no-ops until bound.
   void bind_telemetry(telemetry::Counter* recorded,
                       telemetry::Counter* evicted) {
     tel_recorded_ = recorded;

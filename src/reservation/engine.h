@@ -124,7 +124,7 @@ class IncrementalEngine {
 
   /// Mirrors the per-term recompute/reuse tallies onto telemetry counters
   /// (telemetry/metrics.h). Null pointers detach; bumps are no-ops until
-  /// bound and fold away entirely when telemetry is compiled out.
+  /// bound.
   void bind_telemetry(telemetry::Counter* recomputed,
                       telemetry::Counter* reused) {
     tel_recomputed_ = recomputed;

@@ -11,10 +11,6 @@
 //   * snapshots iterate in registration order, so two runs that register
 //     the same instruments in the same order serialize identically —
 //     keeping --json reports diffable across runs.
-//
-// The registry is always compiled (the pabr-trace tool and the snapshot
-// plumbing need it even in PABR_TELEMETRY=OFF builds); only the emission
-// hooks in the simulators are compile-gated.
 #pragma once
 
 #include <cstdint>
@@ -176,15 +172,9 @@ class Registry {
 MetricsSnapshot merge_snapshots(const std::vector<MetricsSnapshot>& snaps);
 
 /// Null-safe bump used by instrumented components that may run without a
-/// bound registry. Compiles to nothing when the telemetry hooks are
-/// compiled out.
+/// bound registry.
 inline void bump(Counter* c, std::uint64_t n = 1) {
-#ifdef PABR_TELEMETRY_ENABLED
   if (c != nullptr) c->add(n);
-#else
-  (void)c;
-  (void)n;
-#endif
 }
 
 }  // namespace pabr::telemetry

@@ -3,16 +3,12 @@
 namespace pabr::telemetry {
 
 void Collector::configure(const TelemetryConfig& cfg) {
-#ifdef PABR_TELEMETRY_ENABLED
   enabled_ = cfg.enabled;
   tracing_ = cfg.enabled && cfg.trace && cfg.trace_capacity > 0;
   time_admissions_ = cfg.enabled && cfg.time_admissions;
   if (tracing_) {
     buffer_ = TraceBuffer(cfg.trace_capacity, cfg.trace_sample_every);
   }
-#else
-  (void)cfg;
-#endif
 }
 
 SimCounters make_sim_counters(Registry& r, double capacity_bu) {

@@ -4,12 +4,9 @@
 // into their event handlers and subcomponents.
 //
 // Cost model:
-//   * compiled out (PABR_TELEMETRY=OFF): enabled() is a constant false,
-//     every hook folds away, telemetry::bump() is empty — the simulators
-//     carry only an inert member;
-//   * compiled in, runtime-disabled (the default TelemetryConfig): one
-//     predictable branch per hook site; no instrument is ever registered
-//     and no record allocated — bench numbers are unchanged;
+//   * disabled (the default TelemetryConfig): one predictable branch per
+//     hook site; no instrument is ever registered and no record
+//     allocated — bench numbers are unchanged;
 //   * enabled: counter bumps are single u64 increments, trace emits are
 //     one 32-byte store into a preallocated ring. The acceptance budget
 //     is < 5% on bench/micro_admission's ns/admission.
@@ -17,7 +14,7 @@
 // Determinism: the collector is write-only from the simulation's point of
 // view — nothing it records feeds back into admission decisions, RNG
 // draws, or event ordering, so trajectories are byte-identical with
-// telemetry on, off, or compiled out.
+// telemetry on or off.
 #pragma once
 
 #include <cstdint>
@@ -52,13 +49,7 @@ class Collector {
   /// Applies `cfg`; called once from the owning system's constructor.
   void configure(const TelemetryConfig& cfg);
 
-  bool enabled() const {
-#ifdef PABR_TELEMETRY_ENABLED
-    return enabled_;
-#else
-    return false;
-#endif
-  }
+  bool enabled() const { return enabled_; }
   bool tracing() const { return enabled() && tracing_; }
   bool time_admissions() const { return enabled() && time_admissions_; }
 

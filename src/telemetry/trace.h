@@ -4,8 +4,8 @@
 //
 // Determinism contract: tracing observes the simulation and never feeds
 // back into it — no RNG draws, no event (re)ordering, no admission-visible
-// state. Fuzz digests and figure CSVs are byte-identical with tracing on,
-// off, or compiled out (tests/telemetry_determinism_test.cc).
+// state. Fuzz digests and figure CSVs are byte-identical with tracing on
+// or off (tests/telemetry_determinism_test.cc).
 //
 // Threading: one TraceBuffer belongs to one simulator instance, and the
 // deterministic parallel driver (sim/parallel.h) gives every replication

@@ -15,28 +15,11 @@ const char* git_sha() { return PABR_GIT_SHA; }
 
 const char* build_type() { return PABR_BUILD_TYPE; }
 
-bool audit_enabled() {
-#ifdef PABR_AUDIT_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
+// Hooks are always compiled in; kept only for perfbench's provenance fields.
+bool audit_enabled() { return true; }
 
-bool telemetry_enabled() {
-#ifdef PABR_TELEMETRY_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
+bool telemetry_enabled() { return true; }
 
-bool fault_enabled() {
-#ifdef PABR_FAULT_ENABLED
-  return true;
-#else
-  return false;
-#endif
-}
+bool fault_enabled() { return true; }
 
 }  // namespace pabr::buildinfo

@@ -1,8 +1,7 @@
 // Build provenance for machine-readable reports: the git revision and
-// build type captured at configure time, plus which compile-time feature
-// gates (PABR_AUDIT, PABR_TELEMETRY) this binary was built with. Bench
-// --json reports and trace file headers embed these so a result can
-// always be traced back to the code and configuration that produced it.
+// build type captured at configure time. Bench --json reports and trace
+// file headers embed these so a result can always be traced back to the
+// code and configuration that produced it.
 #pragma once
 
 namespace pabr::buildinfo {
@@ -14,13 +13,10 @@ const char* git_sha();
 /// CMAKE_BUILD_TYPE of this binary ("RelWithDebInfo", "Release", ...).
 const char* build_type();
 
-/// True when per-event invariant audit hooks are compiled in.
+/// Always true: the audit, telemetry and fault hooks are compiled into
+/// every build. Kept only because perfbench reports them as provenance.
 bool audit_enabled();
-
-/// True when telemetry/trace hooks are compiled in.
 bool telemetry_enabled();
-
-/// True when fault-injection hooks are compiled in.
 bool fault_enabled();
 
 }  // namespace pabr::buildinfo

@@ -27,7 +27,7 @@ void Parser::add_int(const std::string& name, int* target, std::string help,
                      int min) {
   PABR_CHECK(!flags_.count(name), "duplicate flag: " + name);
   flags_[name] = Flag{Flag::Kind::kInt, target, std::move(help),
-                      std::to_string(*target), min};
+                      std::to_string(*target), static_cast<double>(min)};
 }
 
 void Parser::add_uint64(const std::string& name, unsigned long long* target,
@@ -38,10 +38,10 @@ void Parser::add_uint64(const std::string& name, unsigned long long* target,
 }
 
 void Parser::add_double(const std::string& name, double* target,
-                        std::string help) {
+                        std::string help, double min, double max) {
   PABR_CHECK(!flags_.count(name), "duplicate flag: " + name);
   flags_[name] = Flag{Flag::Kind::kDouble, target, std::move(help),
-                      std::to_string(*target)};
+                      std::to_string(*target), min, max};
 }
 
 void Parser::add_string(const std::string& name, std::string* target,
@@ -85,9 +85,17 @@ bool Parser::assign(const std::string& name, const std::string& value) {
       case Flag::Kind::kUint64:
         *static_cast<unsigned long long*>(flag.target) = std::stoull(value);
         break;
-      case Flag::Kind::kDouble:
-        *static_cast<double*>(flag.target) = std::stod(value);
+      case Flag::Kind::kDouble: {
+        const double v = std::stod(value);
+        if (!(v >= flag.min && v <= flag.max)) {  // also rejects NaN
+          std::cerr << program_ << ": bad value for --" << name << ": '"
+                    << value << "' (must be in [" << flag.min << ", "
+                    << flag.max << "])\n";
+          return false;
+        }
+        *static_cast<double*>(flag.target) = v;
         break;
+      }
       case Flag::Kind::kString:
         *static_cast<std::string*>(flag.target) = value;
         break;

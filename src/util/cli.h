@@ -34,7 +34,11 @@ class Parser {
                int min = std::numeric_limits<int>::min());
   void add_uint64(const std::string& name, unsigned long long* target,
                   std::string help);
-  void add_double(const std::string& name, double* target, std::string help);
+  /// Floating-point flag; values outside [min, max] and NaN are rejected
+  /// at parse time, like add_int's lower bound.
+  void add_double(const std::string& name, double* target, std::string help,
+                  double min = -std::numeric_limits<double>::infinity(),
+                  double max = std::numeric_limits<double>::infinity());
   void add_string(const std::string& name, std::string* target,
                   std::string help);
 
@@ -55,7 +59,9 @@ class Parser {
     void* target;
     std::string help;
     std::string default_repr;
-    int min = std::numeric_limits<int>::min();  ///< kInt lower bound
+    /// Inclusive bounds of kInt (lower only) and kDouble values.
+    double min = -std::numeric_limits<double>::infinity();
+    double max = std::numeric_limits<double>::infinity();
   };
 
   bool assign(const std::string& name, const std::string& value);

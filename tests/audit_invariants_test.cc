@@ -58,7 +58,7 @@ core::SystemConfig everything_on_config() {
   cfg.workload.mean_lifetime_s = 60.0;
   cfg.workload.arrival_rate_per_cell =
       traffic::arrival_rate_for_load(70.0, 0.5, 60.0);
-  cfg.audit_every = 1;  // per-event sweep in PABR_AUDIT builds
+  cfg.audit_every = 1;  // per-event sweep
   cfg.seed = 11;
   return cfg;
 }

@@ -14,9 +14,6 @@
 //     two shard counts;
 //   * the per-section payload checksums of a linear and a hex save() at a
 //     fixed instant (the header's git_sha/build_type are ignored).
-//
-// Fault-injected pins need PABR_FAULT; the telemetry section checksum
-// needs PABR_TELEMETRY (compiled out, the section records "disabled").
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -116,9 +113,6 @@ void expect_checksums(const Checksums& got, const Checksums& want) {
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].first, want[i].first) << "section order at " << i;
-#ifndef PABR_TELEMETRY_ENABLED
-    if (want[i].first == "telemetry") continue;
-#endif
     EXPECT_EQ(got[i].second, want[i].second) << "section " << want[i].first;
   }
 }
@@ -157,7 +151,6 @@ TEST(EnginePinsTest, ShardedTorus) {
   EXPECT_EQ(torus_run(3, false).digest, 0x78c181f992c902fcull);
 }
 
-#ifdef PABR_FAULT_ENABLED
 TEST(EnginePinsTest, LinearTrajectoryUnderFaults) {
   EXPECT_EQ(linear_digest(true, true), 0x2442718bf1a9f167ull);
   EXPECT_EQ(linear_digest(true, false), 0x2442718bf1a9f167ull);
@@ -172,7 +165,6 @@ TEST(EnginePinsTest, ShardedTorusUnderFaults) {
   EXPECT_EQ(torus_run(1, true).digest, 0x40fa68aee0716638ull);
   EXPECT_EQ(torus_run(3, true).digest, 0x40fa68aee0716638ull);
 }
-#endif
 
 TEST(EnginePinsTest, LinearSnapshotSections) {
   core::CellularSystem sys(linear_config(false, true));

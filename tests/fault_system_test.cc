@@ -17,8 +17,6 @@
 namespace pabr::core {
 namespace {
 
-#ifdef PABR_FAULT_ENABLED
-
 SystemConfig quiet_config(admission::PolicyKind policy =
                               admission::PolicyKind::kStatic) {
   SystemConfig cfg;
@@ -127,7 +125,7 @@ TEST(FaultSystemTest, UnreachableNeighborFallsBackAndSubstitutesFloor) {
   sys.audit_invariants();
 
   const telemetry::MetricsSnapshot snap = sys.telemetry_snapshot();
-  if (snap.empty()) GTEST_SKIP() << "telemetry compiled out";
+  ASSERT_FALSE(snap.empty());
   EXPECT_GT(counter_value(snap, "fault.ac_local_fallbacks"), 0u);
   EXPECT_GT(counter_value(snap, "fault.floor_substitutions"), 0u);
   EXPECT_GT(counter_value(snap, "fault.pair_resyncs"), 0u);
@@ -153,7 +151,7 @@ TEST(FaultSystemTest, RetriesRecoverLossAndAreCounted) {
   sys.audit_invariants();
 
   const telemetry::MetricsSnapshot snap = sys.telemetry_snapshot();
-  if (snap.empty()) GTEST_SKIP() << "telemetry compiled out";
+  ASSERT_FALSE(snap.empty());
   EXPECT_GT(counter_value(snap, "fault.retries"), 0u);
   // Identical reruns reproduce the identical counter values — the fault
   // processes are part of the deterministic trajectory.
@@ -189,14 +187,6 @@ TEST(FaultSystemTest, FaultTrajectoriesAreIncrementalScratchEqual) {
         << spec.summary();
   }
 }
-
-#else  // !PABR_FAULT_ENABLED
-
-TEST(FaultSystemTest, CompiledOut) {
-  GTEST_SKIP() << "fault-injection hooks compiled out (PABR_FAULT=OFF)";
-}
-
-#endif
 
 }  // namespace
 }  // namespace pabr::core

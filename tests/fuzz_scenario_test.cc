@@ -2,8 +2,8 @@
 // hundreds-of-seeds version). Each seed expands deterministically into a
 // randomized short simulation which must:
 //
-//   * survive a full per-event invariant audit (PABR_AUDIT builds) plus
-//     an explicit end-of-run audit checkpoint (every build), and
+//   * survive a full per-event invariant audit plus an explicit
+//     end-of-run audit checkpoint, and
 //   * produce a bitwise-identical trajectory whether the reservation is
 //     served incrementally or recomputed from scratch, and whether the
 //     batch runs on one thread or several.
@@ -60,9 +60,7 @@ TEST(FuzzScenarioTest, DigestIndependentOfThreadCount) {
 
 // Fault-schedule corpus (random_scenario's with_faults = true): the
 // differential contracts must survive link/station outages, message
-// loss and degraded-mode reservation. In PABR_FAULT=OFF builds the
-// schedules are inert and these degenerate to the plain suite — still
-// worth running as a generator-determinism check.
+// loss and degraded-mode reservation.
 TEST(FuzzScenarioTest, FaultSchedulesKeepIncrementalScratchEqual) {
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
     const core::ScenarioSpec spec = core::random_scenario(seed, true);

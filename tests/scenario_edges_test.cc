@@ -91,9 +91,6 @@ TEST(ScenarioEdgeTest, SingleCellRingSurvivesAllOracles) {
 }
 
 TEST(ScenarioEdgeTest, FaultWindowOutsideHorizonIsInert) {
-#ifndef PABR_FAULT_ENABLED
-  GTEST_SKIP() << "fault-injection hooks compiled out";
-#else
   // Baseline: fault layer armed but with an empty script. Comparing
   // fault-on vs fault-on isolates the scripted window itself — arming
   // the layer legitimately reroutes signalling even when nothing fails.
@@ -126,13 +123,9 @@ TEST(ScenarioEdgeTest, FaultWindowOutsideHorizonIsInert) {
   // loss/delay/MTBF processes are off in both genomes, so the digests
   // must agree bitwise with the empty-script run.
   EXPECT_EQ(r.incremental, base.incremental);
-#endif
 }
 
 TEST(ScenarioEdgeTest, ScriptedOutageInsideHorizonDoesPerturb) {
-#ifndef PABR_FAULT_ENABLED
-  GTEST_SKIP() << "fault-injection hooks compiled out";
-#else
   // Control for the inert-window test: the same outage moved into the
   // horizon must actually bite (otherwise the inert check proves nothing).
   fuzz::Genome g = fuzz::random_genome(5, false);
@@ -161,7 +154,6 @@ TEST(ScenarioEdgeTest, ScriptedOutageInsideHorizonDoesPerturb) {
   const fuzz::OracleResult r = fuzz::run_oracles(faulty, /*audit_every=*/8);
   EXPECT_TRUE(r.ok) << "[" << r.stage << "] " << r.violation;
   EXPECT_NE(r.incremental, base.incremental);
-#endif
 }
 
 }  // namespace

@@ -109,15 +109,12 @@ TEST(ShardEquivalenceTest, OneShardPerCell) {
   expect_identical(run_with(cfg, 1), run_with(cfg, 24));
 }
 
-#ifdef PABR_AUDIT_ENABLED
 TEST(ShardEquivalenceTest, WithBarrierAudits) {
   ShardedConfig cfg = base_config();
   cfg.audit_at_barriers = true;
   expect_shard_invariant(cfg);
 }
-#endif
 
-#ifdef PABR_FAULT_ENABLED
 TEST(ShardEquivalenceTest, UnderFaultInjection) {
   ShardedConfig cfg = base_config();
   cfg.system.fault.enabled = true;
@@ -146,9 +143,7 @@ TEST(ShardEquivalenceTest, FaultInjectionActuallyFires) {
   const ShardedResult faulty = run_with(cfg, 2);
   EXPECT_NE(clean.digest, faulty.digest);
 }
-#endif
 
-#ifdef PABR_TELEMETRY_ENABLED
 TEST(ShardEquivalenceTest, MergedTelemetryCountersAreShardInvariant) {
   ShardedConfig cfg = base_config();
   cfg.system.telemetry.enabled = true;
@@ -166,7 +161,6 @@ TEST(ShardEquivalenceTest, MergedTelemetryCountersAreShardInvariant) {
     }
   }
 }
-#endif
 
 }  // namespace
 }  // namespace pabr::sim::sharded

@@ -86,16 +86,13 @@ TEST(ShardedExecutorTest, RejectsBadShardCounts) {
   EXPECT_THROW(ShardedExecutor{cfg}, InvariantError);
 }
 
-#ifdef PABR_AUDIT_ENABLED
 TEST(ShardedExecutorTest, BarrierAuditPassesOnCleanRun) {
   ShardedConfig cfg = small_config();
   cfg.audit_at_barriers = true;
   const ShardedResult r = ShardedExecutor(cfg).run();
   EXPECT_GT(r.events, 0u);
 }
-#endif
 
-#ifdef PABR_TELEMETRY_ENABLED
 TEST(ShardedExecutorTest, MergedTelemetryMatchesStatusTallies) {
   ShardedConfig cfg = small_config();
   cfg.shards = 3;
@@ -112,7 +109,6 @@ TEST(ShardedExecutorTest, MergedTelemetryMatchesStatusTallies) {
   EXPECT_EQ(r.telemetry.counter("handoff.dropped"), r.status.drops);
   EXPECT_GT(r.telemetry.counter("reservation.recomputes"), 0u);
 }
-#endif
 
 }  // namespace
 }  // namespace pabr::sim::sharded

@@ -83,8 +83,6 @@ TEST(SnapshotFaultResumeTest, ResumeMidRetryWaitKeepsTheLadder) {
   EXPECT_EQ(finish_digest(*resumed, 30.0), expected);
 }
 
-#ifdef PABR_FAULT_ENABLED
-
 SystemConfig faulty_config() {
   SystemConfig cfg;
   cfg.seed = 11;
@@ -145,8 +143,6 @@ TEST(SnapshotFaultResumeTest, ResumeKeepsStochasticTimelinesAndBackoff) {
         << "snapshot at t=" << t_snap;
   }
 }
-
-#endif  // PABR_FAULT_ENABLED
 
 }  // namespace
 }  // namespace pabr::core

@@ -1,10 +1,10 @@
 // Invariant I10 (DESIGN.md §13): resuming a simulation from a snapshot
 // is invisible — the resumed run's trajectory digest is bitwise
 // identical to the uninterrupted run's, for linear and hex systems, at
-// any snapshot point, through chains of snapshots, and (in PABR_FAULT
-// builds) under random fault schedules. Also pins down the byte-level
-// contract: saving is deterministic, and a freshly loaded system saves
-// back the identical bytes.
+// any snapshot point, through chains of snapshots, and under random
+// fault schedules. Also pins down the byte-level contract: saving is
+// deterministic, and a freshly loaded system saves back the identical
+// bytes.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -16,7 +16,6 @@
 #include "core/random_scenario.h"
 #include "core/system.h"
 #include "snapshot/format.h"
-#include "util/buildinfo.h"
 
 namespace pabr {
 namespace {
@@ -67,7 +66,6 @@ TEST(SnapshotResumeTest, ScratchModeResumesIdentically) {
 }
 
 TEST(SnapshotResumeTest, ResumedDigestMatchesUnderFaults) {
-  if (!buildinfo::fault_enabled()) GTEST_SKIP() << "PABR_FAULT=OFF";
   for (std::uint64_t seed = 40; seed <= 47; ++seed) {
     const core::ScenarioSpec spec =
         core::random_scenario(seed, /*with_faults=*/true);

@@ -1,7 +1,6 @@
 // Determinism contract: telemetry is write-only observation, so the
 // trajectory digest of any scenario is byte-identical with telemetry off,
-// on with metrics only, or on with full tracing. In PABR_TELEMETRY=OFF
-// builds the same tests prove the inert config has no effect at all.
+// on with metrics only, or on with full tracing.
 #include <gtest/gtest.h>
 
 #include <cstdint>

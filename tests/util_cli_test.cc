@@ -90,6 +90,54 @@ TEST(CliTest, IntAtMinimumParses) {
   EXPECT_EQ(n, 0);
 }
 
+TEST(CliTest, DoubleBelowMinimumFails) {
+  Parser p("t", "test");
+  double x = 5.0;
+  p.add_double("x", &x, "", 0.0);
+  auto args = argv_of({"--x", "-0.5"});
+  EXPECT_FALSE(p.parse(static_cast<int>(args.size()), args.data()));
+  EXPECT_DOUBLE_EQ(x, 5.0);  // the target is left untouched
+}
+
+TEST(CliTest, DoubleAboveMaximumFails) {
+  Parser p("t", "test");
+  double x = 0.5;
+  p.add_double("x", &x, "", 0.0, 1.0);
+  auto args = argv_of({"--x=1.01"});
+  EXPECT_FALSE(p.parse(static_cast<int>(args.size()), args.data()));
+  EXPECT_DOUBLE_EQ(x, 0.5);
+}
+
+TEST(CliTest, DoubleAtBoundsParses) {
+  Parser p("t", "test");
+  double lo = 0.5;
+  double hi = 0.5;
+  p.add_double("lo", &lo, "", 0.0, 1.0);
+  p.add_double("hi", &hi, "", 0.0, 1.0);
+  auto args = argv_of({"--lo=0", "--hi=1"});
+  ASSERT_TRUE(p.parse(static_cast<int>(args.size()), args.data()));
+  EXPECT_DOUBLE_EQ(lo, 0.0);
+  EXPECT_DOUBLE_EQ(hi, 1.0);
+}
+
+TEST(CliTest, DoubleNanFails) {
+  // NaN compares false against any bound, so it must be rejected
+  // explicitly — bounded or not.
+  for (const bool bounded : {false, true}) {
+    Parser p("t", "test");
+    double x = 2.0;
+    if (bounded) {
+      p.add_double("x", &x, "", 0.0, 10.0);
+    } else {
+      p.add_double("x", &x, "");
+    }
+    auto args = argv_of({"--x=nan"});
+    EXPECT_FALSE(p.parse(static_cast<int>(args.size()), args.data()))
+        << "bounded=" << bounded;
+    EXPECT_DOUBLE_EQ(x, 2.0);
+  }
+}
+
 TEST(CliTest, MissingValueFails) {
   Parser p("t", "test");
   double x = 0.0;
