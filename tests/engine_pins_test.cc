@@ -13,10 +13,15 @@
 //   * the sharded executor's end-state digest of a small faulted torus at
 //     two shard counts;
 //   * the per-section payload checksums of a linear and a hex save() at a
-//     fixed instant (the header's git_sha/build_type are ignored).
+//     fixed instant, of a faulted time-varying linear save (retries,
+//     load/speed profiles, fault timelines), and of a sharded checkpoint
+//     written at two shard counts (the header's git_sha/build_type are
+//     ignored).
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -98,15 +103,19 @@ std::uint64_t hex_digest(bool faults, bool incremental) {
 /// (section name, payload checksum) in file order.
 using Checksums = std::vector<std::pair<std::string, std::uint64_t>>;
 
+Checksums file_checksums(std::istream& is) {
+  const snapshot::Reader reader(is);
+  Checksums out;
+  for (const auto& s : reader.sections()) out.emplace_back(s.name, s.checksum);
+  return out;
+}
+
 template <class System>
 Checksums section_checksums(System& sys) {
   std::ostringstream os(std::ios::binary);
   sys.save(os);
   std::istringstream is(os.str(), std::ios::binary);
-  const snapshot::Reader reader(is);
-  Checksums out;
-  for (const auto& s : reader.sections()) out.emplace_back(s.name, s.checksum);
-  return out;
+  return file_checksums(is);
 }
 
 void expect_checksums(const Checksums& got, const Checksums& want) {
@@ -117,7 +126,7 @@ void expect_checksums(const Checksums& got, const Checksums& want) {
   }
 }
 
-sim::sharded::ShardedResult torus_run(int shards, bool faults) {
+sim::sharded::ShardedConfig torus_config(int shards, bool faults) {
   sim::sharded::ShardedConfig cfg;
   cfg.system.rows = 4;
   cfg.system.cols = 6;
@@ -132,7 +141,11 @@ sim::sharded::ShardedResult torus_run(int shards, bool faults) {
   cfg.warmup_s = 20.0;
   cfg.audit_at_barriers = true;
   cfg.shards = shards;
-  sim::sharded::ShardedExecutor exec(cfg);
+  return cfg;
+}
+
+sim::sharded::ShardedResult torus_run(int shards, bool faults) {
+  sim::sharded::ShardedExecutor exec(torus_config(shards, faults));
   return exec.run();
 }
 
@@ -207,6 +220,76 @@ TEST(EnginePinsTest, HexSnapshotSections) {
                       {"telemetry", 0x90c8a75ca64e53b4ull},
                       {"fault", 0xaf63bd4c8601b7dfull},
                   });
+}
+
+TEST(EnginePinsTest, LinearTimeVaryingFaultedSnapshotSections) {
+  core::TimeVaryingParams p;
+  p.voice_ratio = 0.6;
+  p.seed = 29;
+  core::SystemConfig cfg = core::time_varying_config(p);
+  cfg.time_origin = 9.0 * sim::kHour;  // inside the morning busy period
+  cfg.telemetry.enabled = true;
+  cfg.telemetry.time_admissions = false;
+  cfg.fault = pin_faults();
+  core::CellularSystem sys(cfg);
+  sys.run_for(300.0);
+
+  std::ostringstream os(std::ios::binary);
+  sys.save(os);
+  std::istringstream is(os.str(), std::ios::binary);
+  {
+    // The pin only covers the retry and fault layouts if they hold data.
+    const snapshot::Reader reader(is);
+    auto retries = reader.open("retries");
+    retries.u64();
+    EXPECT_GT(retries.u32(), 0u) << "no pending retries at the save";
+    EXPECT_GT(reader.open("fault").remaining(), 8u) << "no fault timelines";
+  }
+  is.clear();
+  is.seekg(0);
+  expect_checksums(file_checksums(is), Checksums{
+                      {"config", 0x0941032c873e764aull},
+                      {"simulator", 0xdc97734f04c77930ull},
+                      {"rngs", 0xc4d8c390937e091dull},
+                      {"cells", 0x36c5d58c6d92ec41ull},
+                      {"stations", 0xce816e4ec6518339ull},
+                      {"metrics", 0x2a53efe2ebe2296bull},
+                      {"traces", 0x4d25767f9dce13f5ull},
+                      {"mobiles", 0xbf2c97e92d34a27eull},
+                      {"arrival", 0xe287e5e2be5cdb59ull},
+                      {"retries", 0xf99d836af19dd1daull},
+                      {"accountant", 0x7fe8d086cc4588adull},
+                      {"interconnect", 0x3eec17d96116a379ull},
+                      {"load", 0xb8f8db2a48b07bbcull},
+                      {"wired", 0x4dfa4cffd1f7979full},
+                      {"engine", 0x9a91895aac40c167ull},
+                      {"telemetry", 0xbac7f28f064b4678ull},
+                      {"fault", 0xdbaf900c245d8d7eull},
+                  });
+}
+
+TEST(EnginePinsTest, ShardedCheckpointSections) {
+  for (const int shards : {1, 3}) {
+    const std::string path = ::testing::TempDir() + "engine_pins_ckpt_" +
+                             std::to_string(shards);
+    sim::sharded::ShardedConfig cfg = torus_config(shards, true);
+    cfg.checkpoint_every_s = 100.0;
+    cfg.checkpoint_path = path;
+    sim::sharded::ShardedExecutor(cfg).run();
+    std::ifstream is(path, std::ios::binary);
+    ASSERT_TRUE(is.good()) << path;
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    expect_checksums(file_checksums(is), Checksums{
+                        {"config", 0x462bb3a7b5369c50ull},
+                        {"slot", 0xb77c84076191a000ull},
+                        {"cells", 0x31707b247b2a6321ull},
+                        {"calendar", 0x82ac9c01845ad536ull},
+                        {"accountant", 0x25ed83440464d637ull},
+                        {"telemetry", 0x38fd7423bbb0f197ull},
+                    });
+    is.close();
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
