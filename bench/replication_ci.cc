@@ -16,6 +16,8 @@
 // (invariant I10).
 #include <chrono>
 #include <cstdio>
+#include <exception>
+#include <iostream>
 
 #include "bench_common.h"
 
@@ -52,7 +54,14 @@ int main(int argc, char** argv) {
     if (checkpoint_every > 0.0) {
       plan.checkpoint_path = checkpoint_path + "-resumed";
     }
-    const core::RunResult r = core::run_system(core::SystemConfig{}, plan);
+    core::RunResult r;
+    try {
+      r = core::run_system(core::SystemConfig{}, plan);
+    } catch (const std::exception& e) {
+      std::cerr << "replication_ci: cannot resume from " << resume_from
+                << ": " << e.what() << "\n";
+      return 1;
+    }
     std::printf(
         "resumed %s: %llu events, P_CB %.6f, P_HD %.6f, digest %016llx\n",
         resume_from.c_str(), static_cast<unsigned long long>(r.events),

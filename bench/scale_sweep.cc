@@ -19,6 +19,7 @@
 // records how many hardware threads were actually available. On a
 // single-core host every multi-shard run time-slices one CPU and
 // speedup <= 1 is expected; the digests still must match.
+#include <exception>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -152,8 +153,15 @@ int main(int argc, char** argv) {
                               std::to_string(shards) + "s";
       }
       cfg.resume_from = resume_from;
-      sim::sharded::ShardedExecutor exec(cfg);
-      const sim::sharded::ShardedResult r = exec.run();
+      sim::sharded::ShardedResult r;
+      try {
+        r = sim::sharded::ShardedExecutor(cfg).run();
+      } catch (const std::exception& e) {
+        if (resume_from.empty()) throw;
+        std::cerr << "scale_sweep: cannot resume from " << resume_from
+                  << ": " << e.what() << "\n";
+        return 1;
+      }
       total_wall += r.wall_seconds;
       total_events += r.events;
 

@@ -6,7 +6,8 @@
 #   2. run it again with a checkpoint cadence — writing checkpoints must
 #      not perturb the trajectory;
 #   3. pabr-snapshot --validate the emitted file, and require a
-#      bit-flipped copy to be REJECTED;
+#      bit-flipped copy to be REJECTED; a copy with a corrupted count and
+#      recomputed checksums must validate, and resuming it must exit 1;
 #   4. resume the checkpoint under a DIFFERENT shard count and require
 #      the end-state digest to equal the uninterrupted run's bitwise;
 #   5. fuzz resume smoke: fuzz_driver replays every seed three ways
@@ -53,6 +54,53 @@ if "$BUILD_DIR/bench/pabr_snapshot" "$TMP/corrupt.pabrsnap" --validate; then
   exit 1
 fi
 echo "snapshot_smoke.sh: corrupted snapshot rejected as expected"
+
+#    Semantic corruption behind valid checksums: the calendar's event
+#    count becomes 2^32-1 and every FNV-1a section checksum is recomputed,
+#    so --validate accepts the copy and only the decoders can refuse it.
+python3 - "$SNAP" "$TMP/resealed.pabrsnap" <<'EOF'
+import struct, sys
+
+def fnv1a(data):
+    h = 0xcbf29ce484222325
+    for b in data:
+        h = ((h ^ b) * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
+    return h
+
+data = open(sys.argv[1], 'rb').read()
+pos = 8 + 4 + 4  # magic, format version, system kind
+for _ in range(2):  # git sha, build type
+    pos += 4 + struct.unpack_from('<I', data, pos)[0]
+pos += 8 + 8 + 8  # config digest, sim time, run seed
+(n_sections,) = struct.unpack_from('<I', data, pos)
+pos += 4
+out = bytearray(data[:pos])
+for _ in range(n_sections):
+    (name_len,) = struct.unpack_from('<I', data, pos)
+    name = data[pos + 4:pos + 4 + name_len]
+    pos += 4 + name_len
+    (size,) = struct.unpack_from('<Q', data, pos)
+    pos += 16  # size, checksum
+    payload = bytearray(data[pos:pos + size])
+    pos += size
+    if name == b'calendar':
+        struct.pack_into('<I', payload, 0, 0xFFFFFFFF)
+    out += struct.pack('<I', name_len) + name
+    out += struct.pack('<QQ', size, fnv1a(payload)) + payload
+open(sys.argv[2], 'wb').write(out)
+EOF
+"$BUILD_DIR/bench/pabr_snapshot" "$TMP/resealed.pabrsnap" --validate
+status=0
+"${SWEEP[@]}" --shards 2 --resume-from "$TMP/resealed.pabrsnap" \
+  > "$TMP/resealed.log" 2>&1 || status=$?
+if [ "$status" -ne 1 ] || ! grep -q "cannot resume from" "$TMP/resealed.log"
+then
+  cat "$TMP/resealed.log" >&2
+  echo "snapshot_smoke.sh: FAIL — resealed bad-count snapshot was not" \
+       "refused with exit 1 (exit $status)" >&2
+  exit 1
+fi
+echo "snapshot_smoke.sh: resealed bad-count snapshot refused as expected"
 
 # 4. Resume under a different shard count; every digest must agree.
 "${SWEEP[@]}" --shards 4 --resume-from "$SNAP" --json "$TMP/resumed.json"

@@ -335,107 +335,67 @@ telemetry::MetricsSnapshot CellCore::telemetry_snapshot(
 
 // ---- Snapshot ---------------------------------------------------------------
 
-void CellCore::save_cells(snapshot::Writer& w) const {
-  {
-    auto& e = w.begin_section("cells");
-    for (const Cell& cell : cells_) snapshot::put_cell(e, cell);
-  }
-  {
-    auto& e = w.begin_section("stations");
-    for (const BaseStation& bs : stations_) snapshot::put_station(e, bs);
-  }
-  {
-    auto& e = w.begin_section("metrics");
-    for (const CellMetrics& m : metrics_) snapshot::put_cell_metrics(e, m);
-  }
+template <class Doc>
+void CellCore::io_cells(Doc& doc) {
+  snapshot::section(doc, "cells", [&](auto& ar) {
+    for (Cell& cell : cells_) snapshot::io(ar, cell);
+  });
+  snapshot::section(doc, "stations", [&](auto& ar) {
+    for (BaseStation& bs : stations_) snapshot::io(ar, bs);
+  });
+  snapshot::section(doc, "metrics", [&](auto& ar) {
+    for (CellMetrics& m : metrics_) snapshot::io(ar, m);
+  });
 }
 
-void CellCore::restore_cells(const snapshot::Reader& r) {
-  {
-    auto d = r.open("cells");
-    for (Cell& cell : cells_) snapshot::restore_cell(d, cell);
-    d.finish();
-  }
-  {
-    auto d = r.open("stations");
-    for (BaseStation& bs : stations_) snapshot::restore_station(d, bs);
-    d.finish();
-  }
-  {
-    auto d = r.open("metrics");
-    for (CellMetrics& m : metrics_) snapshot::restore_cell_metrics(d, m);
-    d.finish();
-  }
+template <class Doc>
+void CellCore::io_accountant(Doc& doc) {
+  snapshot::section(doc, "accountant",
+                    [&](auto& ar) { snapshot::io(ar, accountant_); });
 }
 
-void CellCore::save_accountant(snapshot::Writer& w) const {
-  snapshot::put_accountant(w.begin_section("accountant"), accountant_);
-}
-
-void CellCore::restore_accountant(const snapshot::Reader& r) {
-  auto d = r.open("accountant");
-  snapshot::restore_accountant(d, accountant_);
-  d.finish();
-}
-
-void CellCore::save_tail(snapshot::Writer& w) const {
-  snapshot::put_engine(w.begin_section("engine"), engine_);
-  {
-    auto& e = w.begin_section("telemetry");
-    e.b(telemetry_.enabled());
-    if (telemetry_.enabled()) {
-      // Raw registry snapshot: telemetry_snapshot() would sync gauges and
-      // mutate state, which save() must never do.
-      snapshot::put_metrics_snapshot(e, telemetry_.registry().snapshot());
-      snapshot::put_trace_buffer(e, telemetry_.buffer());
-    }
-  }
-  {
-    auto& e = w.begin_section("fault");
-    e.b(fault_ != nullptr);
-    if (fault_ != nullptr) fault_->save(e);
-  }
-}
-
-void CellCore::restore_tail(const snapshot::Reader& r) {
-  {
-    auto d = r.open("engine");
-    snapshot::restore_engine(d, engine_);
-    d.finish();
-  }
-  {
-    auto d = r.open("telemetry");
-    const bool enabled = d.b();
+template <class Doc>
+void CellCore::io_tail(Doc& doc) {
+  snapshot::section(doc, "engine",
+                    [&](auto& ar) { snapshot::io(ar, engine_); });
+  snapshot::section(doc, "telemetry", [&](auto& ar) {
+    bool enabled = telemetry_.enabled();
+    ar.b(enabled);
     PABR_CHECK(enabled == telemetry_.enabled(),
                "snapshot/build disagree on telemetry");
-    if (enabled) {
-      telemetry_.registry().restore(snapshot::get_metrics_snapshot(d));
-      snapshot::restore_trace_buffer(d, telemetry_.buffer());
-    }
-    d.finish();
-  }
-  {
-    auto d = r.open("fault");
-    const bool present = d.b();
+    if (!enabled) return;
+    // Raw registry snapshot: telemetry_snapshot() would sync gauges and
+    // mutate state, which a save must never do.
+    telemetry::MetricsSnapshot snap;
+    if constexpr (!Doc::kDecoding) snap = telemetry_.registry().snapshot();
+    snapshot::io(ar, snap);
+    if constexpr (Doc::kDecoding) telemetry_.registry().restore(snap);
+    snapshot::io(ar, telemetry_.buffer());
+  });
+  snapshot::section(doc, "fault", [&](auto& ar) {
+    bool present = fault_ != nullptr;
+    ar.b(present);
     PABR_CHECK(present == (fault_ != nullptr),
                "snapshot/build disagree on fault injection");
-    if (present) fault_->load(d);
-    d.finish();
-  }
+    if (present) fault_->io(ar);
+  });
 }
 
-void CellCore::save_cell(snapshot::Encoder& e, geom::CellId cell) const {
+template <class Ar>
+void CellCore::io_cell(Ar& ar, geom::CellId cell) {
   const std::size_t i = index(cell);
-  snapshot::put_cell(e, cells_[i]);
-  snapshot::put_station(e, stations_[i]);
-  snapshot::put_cell_metrics(e, metrics_[i]);
+  snapshot::io(ar, cells_[i]);
+  snapshot::io(ar, stations_[i]);
+  snapshot::io(ar, metrics_[i]);
 }
 
-void CellCore::restore_cell(snapshot::Decoder& d, geom::CellId cell) {
-  const std::size_t i = index(cell);
-  snapshot::restore_cell(d, cells_[i]);
-  snapshot::restore_station(d, stations_[i]);
-  snapshot::restore_cell_metrics(d, metrics_[i]);
-}
+template void CellCore::io_cells(snapshot::Writer&);
+template void CellCore::io_cells(const snapshot::Reader&);
+template void CellCore::io_accountant(snapshot::Writer&);
+template void CellCore::io_accountant(const snapshot::Reader&);
+template void CellCore::io_tail(snapshot::Writer&);
+template void CellCore::io_tail(const snapshot::Reader&);
+template void CellCore::io_cell(snapshot::Encoder&, geom::CellId);
+template void CellCore::io_cell(snapshot::Decoder&, geom::CellId);
 
 }  // namespace pabr::core

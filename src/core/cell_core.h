@@ -45,13 +45,6 @@
 #include "telemetry/telemetry.h"
 #include "util/check.h"
 
-namespace pabr::snapshot {
-class Encoder;
-class Decoder;
-class Writer;
-class Reader;
-}  // namespace pabr::snapshot
-
 namespace pabr::core {
 
 struct CellCoreConfig {
@@ -236,19 +229,20 @@ class CellCore {
   /// neighbour of the range inside it (the serial engines).
   void audit_reservations(sim::Time t);
 
-  // ---- Snapshot ------------------------------------------------------------
+  // ---- Snapshot (src/snapshot/; Doc = Writer or const Reader) --------------
   /// The "cells", "stations" and "metrics" sections.
-  void save_cells(snapshot::Writer& w) const;
-  void restore_cells(const snapshot::Reader& r);
+  template <class Doc>
+  void io_cells(Doc& doc);
   /// The "accountant" section.
-  void save_accountant(snapshot::Writer& w) const;
-  void restore_accountant(const snapshot::Reader& r);
+  template <class Doc>
+  void io_accountant(Doc& doc);
   /// The "engine", "telemetry" and "fault" sections.
-  void save_tail(snapshot::Writer& w) const;
-  void restore_tail(const snapshot::Reader& r);
-  /// One cell's radio table, base station and metrics.
-  void save_cell(snapshot::Encoder& e, geom::CellId cell) const;
-  void restore_cell(snapshot::Decoder& d, geom::CellId cell);
+  template <class Doc>
+  void io_tail(Doc& doc);
+  /// One cell's radio table, base station and metrics (Ar = Encoder or
+  /// Decoder).
+  template <class Ar>
+  void io_cell(Ar& ar, geom::CellId cell);
 
  private:
   std::size_t at(geom::CellId cell) const {

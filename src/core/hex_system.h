@@ -31,10 +31,6 @@
 #include "telemetry/telemetry.h"
 #include "traffic/workload.h"
 
-namespace pabr::snapshot {
-class Reader;
-}  // namespace pabr::snapshot
-
 namespace pabr::core {
 
 struct HexSystemConfig {
@@ -190,8 +186,11 @@ class HexCellularSystem final : public admission::AdmissionContext {
   /// the event fires, so a snapshot load re-creates the pending arrival
   /// exactly by replaying the saved fire time.
   void schedule_arrival_at(sim::Time t);
-  /// Applies a parsed snapshot onto the freshly constructed system.
-  void restore_from(const snapshot::Reader& reader);
+  /// The snapshot sections after "config", in file order, both
+  /// directions (Doc = snapshot::Writer, or a const snapshot::Reader
+  /// applied onto the freshly constructed system).
+  template <class Doc>
+  void snapshot_io(Doc& doc);
   bool handle_request(geom::CellId cell, traffic::ServiceClass service,
                       double speed_kmh, sim::Duration lifetime_s);
   void schedule_crossing(HexMobile& m);

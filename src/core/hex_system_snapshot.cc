@@ -1,11 +1,10 @@
-// HexCellularSystem::save/load — the 2-D simulator's snapshot pair (see
+// HexCellularSystem::save/load — the 2-D simulator's snapshot (see
 // core/system_snapshot.cc for the shared design; same section protocol,
 // same re-schedule-by-original-seq restore rule, invariant I10).
 #include <algorithm>
 #include <istream>
 #include <memory>
 #include <ostream>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,122 +19,87 @@ void HexCellularSystem::save(std::ostream& os) {
   snapshot::Writer w(snapshot::SystemKind::kHex,
                      snapshot::config_digest(config_), simulator_.now(),
                      config_.seed);
-
-  {
-    auto& e = w.begin_section("config");
-    snapshot::put_config(e, config_);
-  }
-  snapshot::put_simulator(w, simulator_, events_since_audit_);
-  {
-    auto& e = w.begin_section("rngs");
-    e.str(arrival_rng_.save_state());
-    e.str(movement_rng_.save_state());
-  }
-  core_.save_cells(w);
-  {
-    auto& e = w.begin_section("mobiles");
-    std::vector<const HexMobile*> recs;
-    recs.reserve(mobiles_.size());
-    for (const auto& [id, m] : mobiles_) recs.push_back(&m);
-    std::sort(recs.begin(), recs.end(),
-              [](const HexMobile* a, const HexMobile* b) {
-                return a->id < b->id;
-              });
-    e.u64(next_id_);
-    e.u32(static_cast<std::uint32_t>(recs.size()));
-    for (const HexMobile* m : recs) {
-      e.u64(m->id);
-      e.u32(static_cast<std::uint32_t>(m->service));
-      e.i64(m->cell);
-      e.i64(m->prev);
-      e.f64(m->entered_at);
-      e.f64(m->speed_kmh);
-      snapshot::put_pending(e, simulator_.pending(m->expiry));
-      snapshot::put_pending(e, simulator_.pending(m->crossing));
-    }
-  }
-  {
-    auto& e = w.begin_section("arrival");
-    snapshot::put_pending(e, simulator_.pending(next_arrival_));
-  }
-  core_.save_accountant(w);
-  core_.save_tail(w);
-
+  snapshot::section(w, "config", [&](auto& e) { snapshot::io(e, config_); });
+  snapshot_io(w);
   w.finish(os);
 }
 
 std::unique_ptr<HexCellularSystem> HexCellularSystem::load(std::istream& is) {
-  snapshot::Reader reader(is);
+  const snapshot::Reader reader(is);
   reader.require_kind(snapshot::SystemKind::kHex);
-
-  auto cfg_dec = reader.open("config");
-  HexSystemConfig cfg = snapshot::get_hex_config(cfg_dec);
-  cfg_dec.finish();
+  HexSystemConfig cfg;
+  snapshot::section(reader, "config",
+                    [&](auto& d) { snapshot::io(d, cfg); });
   PABR_CHECK(snapshot::config_digest(cfg) == reader.header().config_digest,
              "snapshot config digest mismatch");
 
   auto system = std::make_unique<HexCellularSystem>(std::move(cfg));
-  system->restore_from(reader);
+  system->snapshot_io(reader);
   return system;
 }
 
-void HexCellularSystem::restore_from(const snapshot::Reader& reader) {
-  simulator_.reset();
-  next_arrival_ = sim::EventHandle{};
-  PABR_CHECK(mobiles_.empty(), "restore_from on a used system");
-
-  snapshot::CalendarReplay replay(reader);
-  events_since_audit_ = replay.events_since_audit();
-  {
-    auto d = reader.open("rngs");
-    arrival_rng_.load_state(d.str());
-    movement_rng_.load_state(d.str());
-    d.finish();
+template <class Doc>
+void HexCellularSystem::snapshot_io(Doc& doc) {
+  constexpr bool kLoad = Doc::kDecoding;
+  if constexpr (kLoad) {
+    simulator_.reset();
+    next_arrival_ = sim::EventHandle{};
+    PABR_CHECK(mobiles_.empty(), "snapshot load onto a used system");
   }
-  core_.restore_cells(reader);
-
-  {
-    auto d = reader.open("mobiles");
-    next_id_ = d.u64();
-    const std::uint32_t n = d.u32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      HexMobile m;
-      m.id = d.u64();
-      m.service = static_cast<traffic::ServiceClass>(d.u32());
-      m.cell = static_cast<geom::CellId>(d.i64());
-      m.prev = static_cast<geom::CellId>(d.i64());
-      m.entered_at = d.f64();
-      m.speed_kmh = d.f64();
-      const auto expiry = snapshot::get_pending(d);
-      const auto crossing = snapshot::get_pending(d);
-      const traffic::ConnectionId id = m.id;
-      auto [it, inserted] = mobiles_.emplace(id, std::move(m));
-      PABR_CHECK(inserted, "duplicate mobile id in snapshot");
-      HexMobile* rec = &it->second;
-      replay.add(expiry, [this, rec, id](sim::Time when) {
-        rec->expiry = simulator_.schedule_at(when, [this, id] {
+  snapshot::Calendar calendar(doc, simulator_, events_since_audit_);
+  snapshot::section(doc, "rngs", [&](auto& ar) {
+    snapshot::io(ar, arrival_rng_);
+    snapshot::io(ar, movement_rng_);
+  });
+  core_.io_cells(doc);
+  snapshot::section(doc, "mobiles", [&](auto& ar) {
+    // Id order, not hash order, so the payload is deterministic.
+    std::vector<HexMobile*> recs;
+    if constexpr (!kLoad) {
+      for (auto& [id, m] : mobiles_) recs.push_back(&m);
+      std::sort(recs.begin(), recs.end(),
+                [](const HexMobile* a, const HexMobile* b) {
+                  return a->id < b->id;
+                });
+    }
+    ar.u64(next_id_);
+    const std::size_t n = ar.count(recs.size(), 46);
+    for (std::size_t i = 0; i < n; ++i) {
+      HexMobile loaded;
+      HexMobile* m = kLoad ? &loaded : recs[i];
+      ar.u64(m->id);
+      ar.enumeration(m->service, traffic::ServiceClass::kVideo);
+      ar.i64(m->cell);
+      ar.i64(m->prev);
+      ar.f64(m->entered_at);
+      ar.f64(m->speed_kmh);
+      const traffic::ConnectionId id = m->id;
+      if constexpr (kLoad) {
+        auto [it, inserted] = mobiles_.emplace(id, std::move(loaded));
+        PABR_CHECK(inserted, "duplicate mobile id in snapshot");
+        m = &it->second;
+      }
+      calendar.slot(ar, m->expiry, [this, m, id](sim::Time when) {
+        m->expiry = simulator_.schedule_at(when, [this, id] {
           handle_expiry(id);
           maybe_audit();
         });
       });
-      replay.add(crossing, [this, rec, id](sim::Time when) {
-        rec->crossing = simulator_.schedule_at(when, [this, id] {
+      calendar.slot(ar, m->crossing, [this, m, id](sim::Time when) {
+        m->crossing = simulator_.schedule_at(when, [this, id] {
           handle_crossing(id);
           maybe_audit();
         });
       });
     }
-    d.finish();
-  }
-  {
-    auto d = reader.open("arrival");
-    replay.add(snapshot::get_pending(d),
-               [this](sim::Time when) { schedule_arrival_at(when); });
-    d.finish();
-  }
-  core_.restore_accountant(reader);
-  core_.restore_tail(reader);
-  replay.finish(simulator_);
+  });
+  snapshot::section(doc, "arrival", [&](auto& ar) {
+    calendar.slot(ar, next_arrival_,
+                  [this](sim::Time when) { schedule_arrival_at(when); });
+  });
+  core_.io_accountant(doc);
+  core_.io_tail(doc);
+  if constexpr (kLoad) calendar.replay();
 }
 
 }  // namespace pabr::core

@@ -31,10 +31,6 @@
 #include "traffic/workload.h"
 #include "wired/backbone.h"
 
-namespace pabr::snapshot {
-class Reader;
-}  // namespace pabr::snapshot
-
 namespace pabr::core {
 
 struct SystemConfig {
@@ -277,8 +273,11 @@ class CellularSystem final : public admission::AdmissionContext {
   /// replays the saved one).
   void schedule_retry_event(std::uint64_t token, sim::Time when,
                             traffic::ConnectionRequest next);
-  /// Applies a parsed snapshot onto the freshly constructed system.
-  void restore_from(const snapshot::Reader& reader);
+  /// The snapshot sections after "config", in file order, both
+  /// directions (Doc = snapshot::Writer, or a const snapshot::Reader
+  /// applied onto the freshly constructed system).
+  template <class Doc>
+  void snapshot_io(Doc& doc);
   void start_connection(const traffic::ConnectionRequest& request);
   void schedule_crossing(MobileRecord& rec);
   void handle_crossing(traffic::ConnectionId id);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "snapshot/format.h"
@@ -185,63 +186,47 @@ ExchangeOutcome FaultInjector::exchange_outcome(geom::CellId from,
   return out;
 }
 
-void FaultInjector::save(snapshot::Encoder& enc) const {
-  const auto put_timeline = [&enc](const Timeline& tl) {
-    enc.str(tl.rng.save_state());
-    enc.u32(static_cast<std::uint32_t>(tl.flips.size()));
-    for (const sim::Time t : tl.flips) enc.f64(t);
-    enc.f64(tl.covered_until);
+template <class Ar>
+void FaultInjector::io(Ar& ar) {
+  if constexpr (Ar::kDecoding) {
+    PABR_CHECK(links_.empty() && stations_.empty(),
+               "fault injector load on a non-fresh injector");
+  }
+  const auto timeline = [&ar](Timeline& tl) {
+    std::string rng;
+    if constexpr (!Ar::kDecoding) rng = tl.rng.save_state();
+    ar.str(rng);
+    if constexpr (Ar::kDecoding) tl.rng.load_state(rng);
+    snapshot::items(ar, tl.flips, 8, [&](sim::Time& t) { ar.f64(t); });
+    ar.f64(tl.covered_until);
   };
-
-  std::vector<std::uint64_t> link_keys;
-  link_keys.reserve(links_.size());
-  for (const auto& [key, tl] : links_) link_keys.push_back(key);
-  std::sort(link_keys.begin(), link_keys.end());
-  enc.u32(static_cast<std::uint32_t>(link_keys.size()));
-  for (const std::uint64_t key : link_keys) {
-    enc.u64(key);
-    put_timeline(links_.at(key));
-  }
-
-  std::vector<geom::CellId> station_keys;
-  station_keys.reserve(stations_.size());
-  for (const auto& [cell, tl] : stations_) station_keys.push_back(cell);
-  std::sort(station_keys.begin(), station_keys.end());
-  enc.u32(static_cast<std::uint32_t>(station_keys.size()));
-  for (const geom::CellId cell : station_keys) {
-    enc.u32(static_cast<std::uint32_t>(cell));
-    put_timeline(stations_.at(cell));
-  }
+  const auto sorted_keys = [](const auto& map) {
+    std::vector<typename std::decay_t<decltype(map)>::key_type> keys;
+    keys.reserve(map.size());
+    for (const auto& [key, tl] : map) keys.push_back(key);
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  // A load creates each entry through link_timeline / station_timeline,
+  // with its correctly derived stream seed; the saved state then
+  // overwrites the lazily generated part. Minimum wire bytes: a timeline
+  // is str + u32 + f64, keyed by a u64 link or a u32 station.
+  std::vector<std::uint64_t> links = sorted_keys(links_);
+  snapshot::items(ar, links, 24, [&](std::uint64_t& key) {
+    ar.u64(key);
+    timeline(link_timeline(
+        static_cast<geom::CellId>(static_cast<std::uint32_t>(key >> 32)),
+        static_cast<geom::CellId>(
+            static_cast<std::uint32_t>(key & 0xffffffffu))));
+  });
+  std::vector<geom::CellId> stations = sorted_keys(stations_);
+  snapshot::items(ar, stations, 20, [&](geom::CellId& cell) {
+    ar.u32(cell);
+    timeline(station_timeline(cell));
+  });
 }
 
-void FaultInjector::load(snapshot::Decoder& dec) {
-  PABR_CHECK(links_.empty() && stations_.empty(),
-             "fault injector load on a non-fresh injector");
-  const auto get_timeline = [&dec](Timeline& tl) {
-    tl.rng.load_state(dec.str());
-    const std::uint32_t n_flips = dec.u32();
-    tl.flips.clear();
-    tl.flips.reserve(n_flips);
-    for (std::uint32_t i = 0; i < n_flips; ++i) tl.flips.push_back(dec.f64());
-    tl.covered_until = dec.f64();
-  };
-
-  const std::uint32_t n_links = dec.u32();
-  for (std::uint32_t i = 0; i < n_links; ++i) {
-    const std::uint64_t key = dec.u64();
-    const auto lo = static_cast<geom::CellId>(
-        static_cast<std::uint32_t>(key >> 32));
-    const auto hi = static_cast<geom::CellId>(
-        static_cast<std::uint32_t>(key & 0xffffffffu));
-    // link_timeline creates the entry with its correctly derived stream
-    // seed; the saved state then overwrites the lazily generated part.
-    get_timeline(link_timeline(lo, hi));
-  }
-  const std::uint32_t n_stations = dec.u32();
-  for (std::uint32_t i = 0; i < n_stations; ++i) {
-    const auto cell = static_cast<geom::CellId>(dec.u32());
-    get_timeline(station_timeline(cell));
-  }
-}
+template void FaultInjector::io(snapshot::Encoder&);
+template void FaultInjector::io(snapshot::Decoder&);
 
 }  // namespace pabr::fault

@@ -472,61 +472,58 @@ std::size_t HandoffEstimator::cached_events() const {
   return n;
 }
 
-void HandoffEstimator::save(snapshot::Encoder& enc) const {
-  enc.u64(state_version_);
-  enc.f64(last_event_time_);
-  enc.u32(static_cast<std::uint32_t>(by_prev_.size()));
-  for (const auto& [prev, h] : by_prev_) {
-    enc.u32(static_cast<std::uint32_t>(prev));
-    enc.u64(h.revision);
+template <class Ar>
+void HandoffEstimator::io(Ar& ar) {
+  if constexpr (Ar::kDecoding) {
+    PABR_CHECK(by_prev_.empty(), "estimator load on a non-fresh estimator");
+  }
+  ar.u64(state_version_);
+  ar.f64(last_event_time_);
+  // Minimum wire bytes: a prev entry u32 + u64 + b + f64 + u32, a next
+  // entry u32 + u32, a quadruplet 2 x f64.
+  // On save the entries are walked in key order; a load inserts them.
+  auto saved_prev = by_prev_.begin();
+  const std::size_t n_prev = ar.count(by_prev_.size(), 25);
+  for (std::size_t i = 0; i < n_prev; ++i) {
+    geom::CellId prev = Ar::kDecoding ? 0 : saved_prev->first;
+    ar.u32(prev);
+    PrevHistory& h = Ar::kDecoding ? by_prev_.find_or_insert(prev)
+                                   : (saved_prev++)->second;
+    ar.u64(h.revision);
     // A snapshot fresh by revision can be rebuilt bit-for-bit at its
     // recorded build time; anything else must stay invalid after load.
-    const bool fresh =
-        h.snapshot.valid && h.snapshot.revision == h.revision;
-    enc.b(fresh);
-    enc.f64(fresh ? h.snapshot.built_at : 0.0);
-    enc.u32(static_cast<std::uint32_t>(h.by_next.size()));
-    for (const auto& [next, ring] : h.by_next) {
-      enc.u32(static_cast<std::uint32_t>(next));
-      enc.u32(static_cast<std::uint32_t>(ring.size()));
-      for (const Quadruplet& q : ring) {
-        enc.f64(q.event_time);
-        enc.f64(q.sojourn);
+    bool fresh = h.snapshot.valid && h.snapshot.revision == h.revision;
+    sim::Time built_at = fresh ? h.snapshot.built_at : 0.0;
+    ar.b(fresh);
+    ar.f64(built_at);
+    auto saved_next = h.by_next.begin();
+    const std::size_t n_next = ar.count(h.by_next.size(), 8);
+    for (std::size_t j = 0; j < n_next; ++j) {
+      geom::CellId next = Ar::kDecoding ? 0 : saved_next->first;
+      ar.u32(next);
+      util::Ring<Quadruplet>& ring = Ar::kDecoding
+                                         ? h.by_next.find_or_insert(next)
+                                         : (saved_next++)->second;
+      const std::size_t n_quads = ar.count(ring.size(), 16);
+      for (std::size_t k = 0; k < n_quads; ++k) {
+        Quadruplet q{};
+        if constexpr (!Ar::kDecoding) q = ring[k];
+        ar.f64(q.event_time);
+        ar.f64(q.sojourn);
+        if constexpr (Ar::kDecoding) {
+          q.prev = prev;
+          q.next = next;
+          ring.push_back(q);
+        }
       }
+    }
+    if constexpr (Ar::kDecoding) {
+      if (fresh) build_snapshot(h, built_at);
     }
   }
 }
 
-void HandoffEstimator::load(snapshot::Decoder& dec) {
-  PABR_CHECK(by_prev_.empty(), "estimator load on a non-fresh estimator");
-  state_version_ = dec.u64();
-  last_event_time_ = dec.f64();
-  const std::uint32_t n_prev = dec.u32();
-  by_prev_.reserve(n_prev);
-  for (std::uint32_t i = 0; i < n_prev; ++i) {
-    const auto prev = static_cast<geom::CellId>(dec.u32());
-    PrevHistory& h = by_prev_.find_or_insert(prev);
-    h.revision = dec.u64();
-    const bool fresh = dec.b();
-    const sim::Time built_at = dec.f64();
-    const std::uint32_t n_next = dec.u32();
-    h.by_next.reserve(n_next);
-    for (std::uint32_t j = 0; j < n_next; ++j) {
-      const auto next = static_cast<geom::CellId>(dec.u32());
-      util::Ring<Quadruplet>& ring = h.by_next.find_or_insert(next);
-      const std::uint32_t n_quads = dec.u32();
-      ring.reserve(n_quads);
-      for (std::uint32_t k = 0; k < n_quads; ++k) {
-        Quadruplet q;
-        q.event_time = dec.f64();
-        q.sojourn = dec.f64();
-        q.prev = prev;
-        q.next = next;
-        ring.push_back(q);
-      }
-    }
-    if (fresh) build_snapshot(h, built_at);
-  }
-}
+template void HandoffEstimator::io(snapshot::Encoder&);
+template void HandoffEstimator::io(snapshot::Decoder&);
 
 }  // namespace pabr::hoef

@@ -43,11 +43,6 @@
 #include "util/flat_map.h"
 #include "util/ring.h"
 
-namespace pabr::snapshot {
-class Encoder;
-class Decoder;
-}  // namespace pabr::snapshot
-
 namespace pabr::hoef {
 
 struct EstimatorConfig {
@@ -170,16 +165,17 @@ class HandoffEstimator {
   geom::CellId self() const { return self_; }
   const EstimatorConfig& config() const { return config_; }
 
-  /// Snapshot save/load (src/snapshot/): serializes the quadruplet store
-  /// and revision counters, plus — for each per-prev snapshot that was
-  /// fresh by revision at save time — its build timestamp, so load()
-  /// rebuilds the exact snapshot the uninterrupted run was consulting
-  /// (build_snapshot is a pure function of the rings, the config and the
-  /// build time). A stale saved snapshot stays invalid after load, so a
-  /// finite-T_int freshness test cannot wrongly pass. load() expects a
-  /// freshly constructed estimator with the same self/config.
-  void save(snapshot::Encoder& enc) const;
-  void load(snapshot::Decoder& dec);
+  /// Snapshot io (src/snapshot/, Ar = Encoder or Decoder): the
+  /// quadruplet store and revision counters, plus — for each per-prev
+  /// snapshot that was fresh by revision at save time — its build
+  /// timestamp, so a load rebuilds the exact snapshot the uninterrupted
+  /// run was consulting (build_snapshot is a pure function of the rings,
+  /// the config and the build time). A stale saved snapshot stays invalid
+  /// after load, so a finite-T_int freshness test cannot wrongly pass. A
+  /// load expects a freshly constructed estimator with the same
+  /// self/config.
+  template <class Ar>
+  void io(Ar& ar);
 
  private:
   struct Selected {

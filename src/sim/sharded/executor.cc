@@ -108,7 +108,7 @@ ShardedResult ShardedExecutor::run() {
   if (!config_.resume_from.empty()) {
     std::ifstream is(config_.resume_from, std::ios::binary);
     PABR_CHECK(is.good(), "cannot open the resume snapshot");
-    start_slot = restore_checkpoint(is, shards);
+    start_slot = load_checkpoint(is, shards);
   }
 
   std::barrier sync(num_shards);
@@ -150,7 +150,7 @@ ShardedResult ShardedExecutor::run() {
             std::ofstream os(config_.checkpoint_path,
                              std::ios::binary | std::ios::trunc);
             PABR_CHECK(os.good(), "cannot open the checkpoint path");
-            write_checkpoint(os, k, shards);
+            save_checkpoint(os, k, shards);
             PABR_CHECK(os.good(), "checkpoint write failed");
           }
         });

@@ -75,12 +75,18 @@ class ShardedExecutor {
   /// quiesced at the barrier; only shard 0's worker calls this). The
   /// payload is in global cell order / canonical event order, so it is
   /// byte-identical for every shard count. sharded/snapshot.cc.
-  void write_checkpoint(std::ostream& os, std::uint64_t slot,
-                        const std::vector<std::unique_ptr<Shard>>& shards);
+  void save_checkpoint(std::ostream& os, std::uint64_t slot,
+                       const std::vector<std::unique_ptr<Shard>>& shards);
   /// Restores a checkpoint onto freshly constructed shards and returns
   /// the slot index to resume at. sharded/snapshot.cc.
-  std::uint64_t restore_checkpoint(
-      std::istream& is, std::vector<std::unique_ptr<Shard>>& shards);
+  std::uint64_t load_checkpoint(
+      std::istream& is, const std::vector<std::unique_ptr<Shard>>& shards);
+  /// The checkpoint's state sections, both directions (Doc = Writer or
+  /// const Reader); returns the slot index saved or loaded.
+  template <class Doc>
+  std::uint64_t checkpoint_io(
+      Doc& doc, std::uint64_t slot,
+      const std::vector<std::unique_ptr<Shard>>& shards);
 
   ShardedConfig config_;
   geom::HexTopology grid_;

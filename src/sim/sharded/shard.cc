@@ -5,6 +5,7 @@
 #include <string>
 
 #include "snapshot/format.h"
+#include "snapshot/parts.h"
 #include "util/check.h"
 
 namespace pabr::sim::sharded {
@@ -399,21 +400,17 @@ sim::Duration Shard::frozen_t_soj_max(geom::CellId cell) const {
 
 // ---- snapshot hooks ---------------------------------------------------------
 
-void Shard::save_cell_state(snapshot::Encoder& e, geom::CellId cell) const {
+template <class Ar>
+void Shard::io_cell_state(Ar& ar, geom::CellId cell) {
   const auto li = local(cell);
-  core_.save_cell(e, cell);
-  e.str(arrival_rng_[li].save_state());
-  e.str(motion_rng_[li].save_state());
-  e.u64(ordinal_[li]);
+  core_.io_cell(ar, cell);
+  snapshot::io(ar, arrival_rng_[li]);
+  snapshot::io(ar, motion_rng_[li]);
+  ar.u64(ordinal_[li]);
 }
 
-void Shard::restore_cell_state(snapshot::Decoder& d, geom::CellId cell) {
-  const auto li = local(cell);
-  core_.restore_cell(d, cell);
-  arrival_rng_[li].load_state(d.str());
-  motion_rng_[li].load_state(d.str());
-  ordinal_[li] = d.u64();
-}
+template void Shard::io_cell_state(snapshot::Encoder&, geom::CellId);
+template void Shard::io_cell_state(snapshot::Decoder&, geom::CellId);
 
 std::size_t Shard::active_connections() const {
   std::size_t n = 0;

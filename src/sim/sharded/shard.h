@@ -39,11 +39,6 @@
 #include "sim/sharded/config.h"
 #include "sim/sharded/partition.h"
 
-namespace pabr::snapshot {
-class Encoder;
-class Decoder;
-}  // namespace pabr::snapshot
-
 namespace pabr::sim::sharded {
 
 /// Global slot-frozen state plus the cross-shard mailboxes. Writes and
@@ -102,12 +97,12 @@ class Shard final : public admission::AdmissionContext {
   std::size_t active_connections() const;
 
   // ---- snapshot hooks (executor checkpoint/resume; sharded/snapshot.cc) ---
-  /// Serializes / restores one owned cell's complete state: radio table,
-  /// base station, metrics (CellCore::save_cell), both RNG streams and
-  /// the id ordinal. The executor drives these in GLOBAL cell order so the
-  /// payload is independent of the partition.
-  void save_cell_state(snapshot::Encoder& e, geom::CellId cell) const;
-  void restore_cell_state(snapshot::Decoder& d, geom::CellId cell);
+  /// Saves / loads one owned cell's complete state (Ar = Encoder or
+  /// Decoder): radio table, base station, metrics (CellCore::io_cell),
+  /// both RNG streams and the id ordinal. The executor drives this in
+  /// GLOBAL cell order so the payload is independent of the partition.
+  template <class Ar>
+  void io_cell_state(Ar& ar, geom::CellId cell);
   const EventCalendar& calendar() const { return calendar_; }
   /// Drops the constructor's primed arrival ticks ahead of a restore.
   void clear_calendar() { calendar_.clear(); }

@@ -20,17 +20,13 @@ constexpr std::uint32_t kMaxStringLen = 1u << 20;
 constexpr std::uint64_t kMaxSectionBytes = 1ull << 32;
 constexpr std::uint32_t kMaxSections = 1u << 16;
 
-void put_u32(std::string& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
+void put_le(std::string& buf, std::uint64_t v, int n_bytes) {
+  for (int i = 0; i < n_bytes; ++i) {
     buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
   }
 }
-
-void put_u64(std::string& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xffu));
-  }
-}
+void put_u32(std::string& buf, std::uint32_t v) { put_le(buf, v, 4); }
+void put_u64(std::string& buf, std::uint64_t v) { put_le(buf, v, 8); }
 
 [[noreturn]] void fail(const std::string& what) { throw FormatError(what); }
 
@@ -77,8 +73,8 @@ class StreamCursor {
 
 // ---- Encoder ----------------------------------------------------------------
 
-void Encoder::u32(std::uint32_t v) { put_u32(buf_, v); }
-void Encoder::u64(std::uint64_t v) { put_u64(buf_, v); }
+void Encoder::put(std::uint64_t v, int n_bytes) { put_le(buf_, v, n_bytes); }
+
 void Encoder::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 
 void Encoder::str(std::string_view s) {
@@ -89,10 +85,12 @@ void Encoder::str(std::string_view s) {
 
 // ---- Decoder ----------------------------------------------------------------
 
+void Decoder::fail(const std::string& what) const {
+  snapshot::fail("section '" + name_ + "': " + what);
+}
+
 const unsigned char* Decoder::take(std::size_t n) {
-  if (pos_ + n > payload_.size()) {
-    fail("section '" + name_ + "': read past the end of the payload");
-  }
+  if (n > remaining()) fail("read past the end of the payload");
   const auto* p =
       reinterpret_cast<const unsigned char*>(payload_.data()) + pos_;
   pos_ += n;
@@ -119,16 +117,23 @@ double Decoder::f64() { return std::bit_cast<double>(u64()); }
 
 std::string Decoder::str() {
   const std::uint32_t n = u32();
-  if (n > kMaxStringLen) {
-    fail("section '" + name_ + "': implausible string length");
-  }
+  if (n > kMaxStringLen) fail("implausible string length");
   const unsigned char* b = take(n);
   return std::string(reinterpret_cast<const char*>(b), n);
 }
 
+std::size_t Decoder::count(std::size_t /*n*/, std::size_t min_element_bytes) {
+  const std::uint32_t n = u32();
+  if (std::uint64_t{n} * min_element_bytes > remaining()) {
+    fail("count " + std::to_string(n) + " cannot fit in the " +
+         std::to_string(remaining()) + " payload byte(s) left");
+  }
+  return n;
+}
+
 void Decoder::finish() const {
   if (pos_ != payload_.size()) {
-    fail("section '" + name_ + "': " + std::to_string(remaining()) +
+    fail(std::to_string(remaining()) +
          " unread payload byte(s) — writer/reader layout mismatch");
   }
 }
