@@ -66,30 +66,9 @@ double CellCore::contribution(geom::CellId source, geom::CellId target,
                               sim::Time t, sim::Duration t_est,
                               double running) const {
   const std::size_t s = at(source);
-  const auto& estimator = stations_[s].estimator();
-  const auto& route_next = engine_.route_next();
-  // Under adaptive QoS, "bandwidth reservation is made on the basis of the
-  // minimum QoS of each connection" (§1) — reserve_bandwidth carries the
-  // minimum-QoS value in that mode.
-  for (const traffic::ConnectionEntry& e : cells_[s].connections()) {
-    const sim::Duration extant = t - e.view.entered_cell_at;
-    double ph;
-    if (e.view.route_known) {
-      // §7 ITS/GPS extension: the next cell is known, so the estimation
-      // function only estimates the hand-off (sojourn) time.
-      if (route_next == nullptr ||
-          route_next(source, e.view.direction) != target) {
-        continue;
-      }
-      ph = estimator.any_handoff_probability(t, e.view.prev_cell, extant,
-                                             t_est);
-    } else {
-      ph = estimator.handoff_probability(t, e.view.prev_cell, target, extant,
-                                         t_est);
-    }
-    running += static_cast<double>(e.view.reserve_bandwidth) * ph;
-  }
-  return running;
+  return reservation::expected_handin_bandwidth(
+      stations_[s].estimator(), cells_[s].connections(), engine_.route_next(),
+      source, target, t, t_est, running);
 }
 
 void CellCore::check_resync(geom::CellId source, geom::CellId target,

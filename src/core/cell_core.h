@@ -14,11 +14,11 @@
 // T_est controller + B_r^curr), per-cell metrics, the incremental
 // reservation engine, the signalling accountant, the admission policy,
 // the telemetry collector and the fault injector, and implements on them:
-// Eq. (5) from scratch (including the §7 route-known branch), Eq. (6) on
-// the production path (normal and degraded mode, with the I9 post-heal
-// check), the reference rescan, the fault-aware neighbour probe, the
-// timed admission bracket, the common metric reset/aggregation, the
-// I1-I3/I5/I6/I8/I9 audit sweep and the per-cell snapshot sections.
+// Eq. (6) over reservation's Eq. (5) on the production path (normal and
+// degraded mode, with the I9 post-heal check), the reference rescan, the
+// fault-aware neighbour probe, the timed admission bracket, the common
+// metric reset/aggregation, the I1-I3/I5/I6/I8/I9 audit sweep and the
+// per-cell snapshot sections.
 //
 // Each engine keeps its events, mobility and engine-specific state (the
 // linear road's wired backbone, soft hand-off, traces and retries; the
@@ -40,6 +40,7 @@
 #include "geom/topology.h"
 #include "hoef/estimator.h"
 #include "reservation/engine.h"
+#include "reservation/reservation.h"
 #include "reservation/test_window.h"
 #include "sim/time.h"
 #include "telemetry/telemetry.h"
@@ -72,7 +73,7 @@ struct CellCoreConfig {
   /// accounting, as on the hex engines.
   backhaul::InterconnectModel* interconnect = nullptr;
   /// §7 route-known next cell (null when no mobile has a known route).
-  reservation::IncrementalEngine::RouteNextFn route_next;
+  reservation::RouteNextFn route_next;
   /// Instant the time-weighted metric windows are anchored at.
   sim::Time time_origin = 0.0;
 };
@@ -124,11 +125,9 @@ class CellCore {
   fault::FaultInjector* fault_injector() { return fault_.get(); }
 
   // ---- Eq. (5)/(6) ----------------------------------------------------------
-  /// Eq. (5) from scratch: the expected hand-in bandwidth from owned cell
-  /// `source` into `target` within `t_est`, added term by term onto
-  /// `running` in connection-id order (the association order of the
-  /// incremental engine). Route-known mobiles (§7) contribute only
-  /// toward the engine's route-next cell, with the sojourn-only estimate.
+  /// Eq. (5) from scratch (reservation::expected_handin_bandwidth) over
+  /// owned cell `source`'s connections into `target` within `t_est`,
+  /// added onto `running`, with the engine's route-next map (§7).
   double contribution(geom::CellId source, geom::CellId target, sim::Time t,
                       sim::Duration t_est, double running) const;
 

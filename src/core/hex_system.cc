@@ -5,10 +5,8 @@
 namespace pabr::core {
 
 void HexSystemConfig::set_offered_load(double load) {
-  PABR_CHECK(load >= 0.0, "negative offered load");
-  const double mean_bw = voice_ratio * traffic::kVoiceBandwidth +
-                         (1.0 - voice_ratio) * traffic::kVideoBandwidth;
-  arrival_rate_per_cell = load / (mean_bw * mean_lifetime_s);
+  arrival_rate_per_cell =
+      traffic::arrival_rate_for_load(load, voice_ratio, mean_lifetime_s);
 }
 
 CellCoreConfig HexSystemConfig::core_config(const geom::HexTopology& grid,

@@ -81,9 +81,8 @@ struct HexSystemConfig {
 
   /// Offered load per cell, Eq. (7).
   double offered_load() const {
-    const double mean_bw = voice_ratio * traffic::kVoiceBandwidth +
-                           (1.0 - voice_ratio) * traffic::kVideoBandwidth;
-    return arrival_rate_per_cell * mean_bw * mean_lifetime_s;
+    return arrival_rate_per_cell * traffic::mean_bandwidth(voice_ratio) *
+           mean_lifetime_s;
   }
   /// Sets the arrival rate from a target offered load.
   void set_offered_load(double load);

@@ -5,7 +5,6 @@
 
 #include "mobility/linear_motion.h"
 #include "util/check.h"
-#include "util/log.h"
 
 namespace pabr::core {
 namespace {
@@ -24,7 +23,7 @@ traffic::WorkloadConfig effective_workload(const SystemConfig& cfg) {
 CellCoreConfig core_config(const SystemConfig& cfg,
                            const geom::LinearTopology& road,
                            backhaul::InterconnectModel* interconnect,
-                           reservation::IncrementalEngine::RouteNextFn next) {
+                           reservation::RouteNextFn next) {
   CellCoreConfig c;
   c.first = 0;
   c.end = cfg.num_cells;
@@ -98,9 +97,7 @@ CellularSystem::CellularSystem(SystemConfig config)
     const traffic::DailyProfile profile = *config_.speed_profile;
     const double half = config_.speed_half_range_kmh;
     workload_.set_speed_range([profile, half](sim::Time t) {
-      const double s = profile.at(t);
-      const double lo = std::max(1.0, s - half);
-      return std::pair<double, double>{lo, std::max(lo, s + half)};
+      return traffic::speed_band(profile, half, t);
     });
   }
 

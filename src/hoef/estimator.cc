@@ -21,23 +21,12 @@ double prefix_weight_at(const double* begin, const double* end,
   return idx == 0 ? 0.0 : prefix[idx - 1];
 }
 
-double prefix_weight_at(const std::vector<double>& sojourns,
-                        const std::vector<double>& prefix, double x) {
-  return prefix_weight_at(sojourns.data(), sojourns.data() + sojourns.size(),
-                          prefix.data(), x);
-}
-
 /// Smallest sojourn value strictly greater than x (the next step
 /// breakpoint of the prefix-weight function), or infinity when none.
 double next_breakpoint_after(const double* begin, const double* end,
                              double x) {
   const double* it = std::upper_bound(begin, end, x);
   return it == end ? sim::kInfiniteDuration : *it;
-}
-
-double next_breakpoint_after(const std::vector<double>& sojourns, double x) {
-  return next_breakpoint_after(sojourns.data(),
-                               sojourns.data() + sojourns.size(), x);
 }
 
 }  // namespace
@@ -301,121 +290,95 @@ static bool posterior_mass(double denom) {
   return denom > 0.0 && std::isfinite(denom);
 }
 
-double HandoffEstimator::handoff_probability(sim::Time t0, geom::CellId prev,
-                                             geom::CellId next,
-                                             sim::Duration extant_sojourn,
-                                             sim::Duration t_est) const {
-  PABR_CHECK(extant_sojourn >= 0.0, "negative extant sojourn");
-  PABR_CHECK(t_est >= 0.0, "negative T_est");
-  const Snapshot* s = snapshot_for(prev, t0);
-  if (s == nullptr) return 0.0;
-
-  const double denom =
-      s->all_total - prefix_weight_at(s->all_sojourn, s->all_prefix,
-                                      extant_sojourn);
-  if (!posterior_mass(denom)) return 0.0;
-
-  const NextSpan* span = s->find_next(next);
-  if (span == nullptr) return 0.0;
-  const double* soj_b = s->values.begin(span->sojourns);
-  const double* soj_e = s->values.end(span->sojourns);
-  const double* pre_b = s->values.begin(span->prefix);
-  const double numer =
-      prefix_weight_at(soj_b, soj_e, pre_b, extant_sojourn + t_est) -
-      prefix_weight_at(soj_b, soj_e, pre_b, extant_sojourn);
-  return posterior(numer, denom);
-}
-
-double HandoffEstimator::any_handoff_probability(
-    sim::Time t0, geom::CellId prev, sim::Duration extant_sojourn,
-    sim::Duration t_est) const {
-  const Snapshot* s = snapshot_for(prev, t0);
-  if (s == nullptr) return 0.0;
-  const double below =
-      prefix_weight_at(s->all_sojourn, s->all_prefix, extant_sojourn);
-  const double denom = s->all_total - below;
-  if (!posterior_mass(denom)) return 0.0;
-  const double numer =
-      prefix_weight_at(s->all_sojourn, s->all_prefix,
-                       extant_sojourn + t_est) -
-      below;
-  return posterior(numer, denom);
-}
-
-bool HandoffEstimator::supports_caching() const {
-  return !is_finite_duration(config_.t_int);
-}
-
-ProbeResult HandoffEstimator::handoff_probability_probe(
-    sim::Time t0, geom::CellId prev, geom::CellId next,
-    sim::Duration extant_sojourn, sim::Duration t_est) const {
+template <bool kProbe, bool kAnyNext>
+ProbeResult HandoffEstimator::lookup(sim::Time t0, geom::CellId prev,
+                                     geom::CellId next,
+                                     sim::Duration extant_sojourn,
+                                     sim::Duration t_est) const {
   PABR_CHECK(extant_sojourn >= 0.0, "negative extant sojourn");
   PABR_CHECK(t_est >= 0.0, "negative T_est");
   ProbeResult r;
   const Snapshot* s = snapshot_for(prev, t0);
   if (s == nullptr) return r;  // stays 0 until a record() bumps the version
 
+  const double* all_b = s->all_sojourn.data();
+  const double* all_e = all_b + s->all_sojourn.size();
   const double below_all =
-      prefix_weight_at(s->all_sojourn, s->all_prefix, extant_sojourn);
+      prefix_weight_at(all_b, all_e, s->all_prefix.data(), extant_sojourn);
   const double denom = s->all_total - below_all;
   if (!posterior_mass(denom)) {
     return r;  // estimated stationary — and stays so: the denominator
                // only shrinks as time passes
   }
 
-  const NextSpan* span = s->find_next(next);
-  if (span == nullptr) return r;  // no events toward `next` yet
-  const double* soj_b = s->values.begin(span->sojourns);
-  const double* soj_e = s->values.end(span->sojourns);
-  const double* pre_b = s->values.begin(span->prefix);
+  // The numerator's step function: the whole prev's for a hand-off
+  // anywhere (its weight below the extant sojourn is below_all), else
+  // `next`'s.
+  const double* soj_b = all_b;
+  const double* soj_e = all_e;
+  const double* pre_b = s->all_prefix.data();
+  double below = below_all;
+  if constexpr (!kAnyNext) {
+    const NextSpan* span = s->find_next(next);
+    if (span == nullptr) return r;  // no events toward `next` yet
+    soj_b = s->values.begin(span->sojourns);
+    soj_e = s->values.end(span->sojourns);
+    pre_b = s->values.begin(span->prefix);
+    below = prefix_weight_at(soj_b, soj_e, pre_b, extant_sojourn);
+  }
   const double numer =
-      prefix_weight_at(soj_b, soj_e, pre_b, extant_sojourn + t_est) -
-      prefix_weight_at(soj_b, soj_e, pre_b, extant_sojourn);
+      prefix_weight_at(soj_b, soj_e, pre_b, extant_sojourn + t_est) - below;
   r.probability = posterior(numer, denom);
 
-  // The value is a pure function of the step-function indices selected
-  // above; it can only change when the extant sojourn (or sojourn + T_est)
-  // crosses the next sample point of one of the three lookups.
-  const double d1 =
-      next_breakpoint_after(s->all_sojourn, extant_sojourn) - extant_sojourn;
-  const double d2 =
-      next_breakpoint_after(soj_b, soj_e, extant_sojourn) - extant_sojourn;
-  const double d3 =
-      next_breakpoint_after(soj_b, soj_e, extant_sojourn + t_est) -
-      (extant_sojourn + t_est);
-  const double delta = std::min({d1, d2, d3});
-  r.valid_until =
-      delta >= sim::kInfiniteDuration ? sim::kInfiniteDuration : t0 + delta;
+  if constexpr (kProbe) {
+    // The value is a pure function of the step-function indices selected
+    // above; it can only change when the extant sojourn (or sojourn +
+    // T_est) crosses the next sample point of one of the lookups.
+    const double d1 =
+        next_breakpoint_after(all_b, all_e, extant_sojourn) - extant_sojourn;
+    const double d2 =
+        kAnyNext ? d1
+                 : next_breakpoint_after(soj_b, soj_e, extant_sojourn) -
+                       extant_sojourn;
+    const double d3 =
+        next_breakpoint_after(soj_b, soj_e, extant_sojourn + t_est) -
+        (extant_sojourn + t_est);
+    const double delta = std::min({d1, d2, d3});
+    r.valid_until =
+        delta >= sim::kInfiniteDuration ? sim::kInfiniteDuration : t0 + delta;
+  }
   return r;
+}
+
+double HandoffEstimator::handoff_probability(sim::Time t0, geom::CellId prev,
+                                             geom::CellId next,
+                                             sim::Duration extant_sojourn,
+                                             sim::Duration t_est) const {
+  return lookup<false, false>(t0, prev, next, extant_sojourn, t_est)
+      .probability;
+}
+
+double HandoffEstimator::any_handoff_probability(
+    sim::Time t0, geom::CellId prev, sim::Duration extant_sojourn,
+    sim::Duration t_est) const {
+  return lookup<false, true>(t0, prev, geom::kNoCell, extant_sojourn, t_est)
+      .probability;
+}
+
+ProbeResult HandoffEstimator::handoff_probability_probe(
+    sim::Time t0, geom::CellId prev, geom::CellId next,
+    sim::Duration extant_sojourn, sim::Duration t_est) const {
+  return lookup<true, false>(t0, prev, next, extant_sojourn, t_est);
 }
 
 ProbeResult HandoffEstimator::any_handoff_probability_probe(
     sim::Time t0, geom::CellId prev, sim::Duration extant_sojourn,
     sim::Duration t_est) const {
-  PABR_CHECK(extant_sojourn >= 0.0, "negative extant sojourn");
-  PABR_CHECK(t_est >= 0.0, "negative T_est");
-  ProbeResult r;
-  const Snapshot* s = snapshot_for(prev, t0);
-  if (s == nullptr) return r;
-  const double below =
-      prefix_weight_at(s->all_sojourn, s->all_prefix, extant_sojourn);
-  const double denom = s->all_total - below;
-  if (!posterior_mass(denom)) return r;
-  const double numer =
-      prefix_weight_at(s->all_sojourn, s->all_prefix,
-                       extant_sojourn + t_est) -
-      below;
-  r.probability = posterior(numer, denom);
+  return lookup<true, true>(t0, prev, geom::kNoCell, extant_sojourn, t_est);
+}
 
-  const double d1 =
-      next_breakpoint_after(s->all_sojourn, extant_sojourn) - extant_sojourn;
-  const double d2 =
-      next_breakpoint_after(s->all_sojourn, extant_sojourn + t_est) -
-      (extant_sojourn + t_est);
-  const double delta = std::min(d1, d2);
-  r.valid_until =
-      delta >= sim::kInfiniteDuration ? sim::kInfiniteDuration : t0 + delta;
-  return r;
+bool HandoffEstimator::supports_caching() const {
+  return !is_finite_duration(config_.t_int);
 }
 
 sim::Duration HandoffEstimator::max_sojourn(sim::Time t0) const {

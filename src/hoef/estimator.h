@@ -227,6 +227,12 @@ class HandoffEstimator {
   /// written into `select_scratch_`.
   void select(const util::Ring<Quadruplet>& events, sim::Time t0) const;
   const Snapshot* snapshot_for(geom::CellId prev, sim::Time t0) const;
+  /// The one Eq. (4) body behind the four public lookups: p_h toward
+  /// `next` (or, with kAnyNext, toward any cell; `next` is then unused),
+  /// plus with kProbe the validity horizon of ProbeResult.
+  template <bool kProbe, bool kAnyNext>
+  ProbeResult lookup(sim::Time t0, geom::CellId prev, geom::CellId next,
+                     sim::Duration extant_sojourn, sim::Duration t_est) const;
 
   geom::CellId self_;
   EstimatorConfig config_;

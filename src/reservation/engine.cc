@@ -104,41 +104,6 @@ void IncrementalEngine::PairTable::erase(std::uint64_t key) {
   --size_;
 }
 
-IncrementalEngine::TermEntry IncrementalEngine::make_term(
-    geom::CellId source, geom::CellId target,
-    const traffic::ConnectionEntry& entry,
-    const hoef::HandoffEstimator& estimator, sim::Time now,
-    sim::Duration t_est) const {
-  TermEntry term;
-  term.id = entry.id;
-  term.reserve_bw = entry.view.reserve_bandwidth;
-  term.prev = entry.view.prev_cell;
-  term.entered_at = entry.view.entered_cell_at;
-
-  const sim::Duration extant = now - entry.view.entered_cell_at;
-  hoef::ProbeResult probe;
-  if (entry.view.route_known) {
-    // §7 ITS/GPS extension: the next cell is deterministic, the estimation
-    // function only estimates the hand-off time. A mobile not headed for
-    // `target` contributes 0 for as long as it stays camped in `source`.
-    if (route_next_ != nullptr &&
-        route_next_(source, entry.view.direction) == target) {
-      probe = estimator.any_handoff_probability_probe(now, entry.view.prev_cell,
-                                                      extant, t_est);
-    } else {
-      probe.probability = 0.0;
-      probe.valid_until = sim::kInfiniteDuration;
-    }
-  } else {
-    probe = estimator.handoff_probability_probe(
-        now, entry.view.prev_cell, target, extant, t_est);
-  }
-  term.value =
-      static_cast<double>(entry.view.reserve_bandwidth) * probe.probability;
-  term.valid_until = probe.valid_until;
-  return term;
-}
-
 double IncrementalEngine::accumulate(
     geom::CellId source, geom::CellId target,
     const std::vector<traffic::ConnectionEntry>& table,
@@ -210,8 +175,12 @@ double IncrementalEngine::accumulate(
       ++terms_reused_;
       telemetry::bump(tel_reused_);
     } else {
-      scratch_.push_back(
-          make_term(source, target, entry, estimator, now, t_est));
+      const HandinTerm term = handin_term<true>(estimator, route_next_, source,
+                                                target, entry, now, t_est);
+      scratch_.push_back(TermEntry{entry.id, term.value, term.valid_until,
+                                   entry.view.reserve_bandwidth,
+                                   entry.view.prev_cell,
+                                   entry.view.entered_cell_at});
       ++terms_recomputed_;
       telemetry::bump(tel_recomputed_);
     }

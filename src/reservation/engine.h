@@ -51,11 +51,11 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "geom/topology.h"
 #include "hoef/estimator.h"
+#include "reservation/reservation.h"
 #include "sim/time.h"
 #include "telemetry/metrics.h"
 #include "traffic/connection.h"
@@ -64,12 +64,6 @@ namespace pabr::reservation {
 
 class IncrementalEngine {
  public:
-  /// Next cell a route-known mobile camped in `cell` and moving in
-  /// `direction` will enter (the §7 ITS/GPS extension); may be null when
-  /// the deployment has no route-known mobiles (e.g. the hex grid).
-  using RouteNextFn = std::function<geom::CellId(geom::CellId cell,
-                                                 int direction)>;
-
   explicit IncrementalEngine(RouteNextFn route_next = nullptr)
       : route_next_(std::move(route_next)) {}
 
@@ -176,11 +170,6 @@ class IncrementalEngine {
     std::size_t size_ = 0;
     std::size_t mask_ = 0;  // slots_.size() - 1 (power of two)
   };
-
-  TermEntry make_term(geom::CellId source, geom::CellId target,
-                      const traffic::ConnectionEntry& entry,
-                      const hoef::HandoffEstimator& estimator, sim::Time now,
-                      sim::Duration t_est) const;
 
   PairTable pairs_;
   /// Sorted keys of pairs in degraded mode (mark_stale .. next completed

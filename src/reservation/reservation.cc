@@ -6,16 +6,16 @@ namespace pabr::reservation {
 
 double expected_handin_bandwidth(
     const hoef::HandoffEstimator& estimator,
-    const std::vector<ActiveConnectionView>& connections,
-    geom::CellId target, sim::Time now, sim::Duration t_est_target) {
-  PABR_CHECK(t_est_target >= 0.0, "negative estimation window");
-  double sum = 0.0;
-  for (const ActiveConnectionView& c : connections) {
-    const double ph = estimator.handoff_probability(
-        now, c.prev, target, c.extant_sojourn, t_est_target);
-    sum += static_cast<double>(c.bandwidth) * ph;
+    const std::vector<traffic::ConnectionEntry>& table,
+    const RouteNextFn& route_next, geom::CellId source, geom::CellId target,
+    sim::Time now, sim::Duration t_est, double running) {
+  PABR_CHECK(t_est >= 0.0, "negative estimation window");
+  for (const traffic::ConnectionEntry& entry : table) {
+    running += handin_term<false>(estimator, route_next, source, target,
+                                  entry, now, t_est)
+                   .value;
   }
-  return sum;
+  return running;
 }
 
 }  // namespace pabr::reservation

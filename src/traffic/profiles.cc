@@ -56,6 +56,13 @@ double DailyProfile::min_value() const {
   return m;
 }
 
+std::pair<double, double> speed_band(const DailyProfile& speed,
+                                     double half_range_kmh, sim::Time t) {
+  const double s = speed.at(t);
+  const double lo = std::max(1.0, s - half_range_kmh);
+  return {lo, std::max(lo, s + half_range_kmh)};
+}
+
 DailyProfile paper_load_profile() {
   // Knots traced from Fig. 14(a): off-peak base load with three rush-hour
   // peaks at 9:00, 13:00 and 17:30.

@@ -51,4 +51,10 @@ DailyProfile paper_speed_profile();
 /// Half-width of the speed range around S(t) (paper: 20 km/h).
 inline constexpr double kPaperSpeedHalfRange = 20.0;
 
+/// Speed bounds [lo, hi] (km/h) at time t of a speed profile S:
+/// [S(t) - half, S(t) + half], with lo floored at 1 km/h so sampled speeds
+/// stay positive (§5.3, Fig. 14(a)).
+std::pair<double, double> speed_band(const DailyProfile& speed,
+                                     double half_range_kmh, sim::Time t);
+
 }  // namespace pabr::traffic

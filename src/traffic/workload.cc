@@ -6,13 +6,14 @@
 
 namespace pabr::traffic {
 
-double WorkloadConfig::mean_bandwidth() const {
+double mean_bandwidth(double voice_ratio) {
   return voice_ratio * kVoiceBandwidth +
          (1.0 - voice_ratio) * kVideoBandwidth;
 }
 
 double WorkloadConfig::offered_load() const {
-  return arrival_rate_per_cell * mean_bandwidth() * mean_lifetime_s;
+  return arrival_rate_per_cell * mean_bandwidth(voice_ratio) *
+         mean_lifetime_s;
 }
 
 double arrival_rate_for_load(double offered_load, double voice_ratio,
@@ -21,9 +22,7 @@ double arrival_rate_for_load(double offered_load, double voice_ratio,
   PABR_CHECK(voice_ratio >= 0.0 && voice_ratio <= 1.0,
              "voice ratio out of [0,1]");
   PABR_CHECK(mean_lifetime_s > 0.0, "non-positive lifetime");
-  const double mean_bw =
-      voice_ratio * kVoiceBandwidth + (1.0 - voice_ratio) * kVideoBandwidth;
-  return offered_load / (mean_bw * mean_lifetime_s);
+  return offered_load / (mean_bandwidth(voice_ratio) * mean_lifetime_s);
 }
 
 WorkloadGenerator::WorkloadGenerator(const geom::LinearTopology& road,

@@ -31,11 +31,13 @@ struct WorkloadConfig {
   /// mobiles move in +1 direction (the Table 3 one-directional scenario).
   bool bidirectional = true;
 
-  /// Mean bandwidth E[b] = R_vo*1 + (1-R_vo)*4 in BUs.
-  double mean_bandwidth() const;
   /// Offered load per cell, Eq. (7).
   double offered_load() const;
 };
+
+/// Mean bandwidth E[b] = R_vo*1 + (1-R_vo)*4 in BUs, the bandwidth factor
+/// of Eq. (7).
+double mean_bandwidth(double voice_ratio);
 
 /// Solves Eq. (7) for lambda given a target offered load.
 double arrival_rate_for_load(double offered_load, double voice_ratio,

@@ -1,10 +1,10 @@
 #include "util/buildinfo.h"
 
-// PABR_GIT_SHA / PABR_BUILD_TYPE are injected per-source by
-// src/CMakeLists.txt at configure time.
-#ifndef PABR_GIT_SHA
-#define PABR_GIT_SHA "unknown"
-#endif
+// PABR_GIT_SHA comes from the header util/buildinfo.cmake writes at build
+// time; PABR_BUILD_TYPE is injected by src/CMakeLists.txt at configure
+// time.
+#include "pabr_git_sha.h"
+
 #ifndef PABR_BUILD_TYPE
 #define PABR_BUILD_TYPE "unknown"
 #endif

@@ -1,13 +1,13 @@
-// Build provenance for machine-readable reports: the git revision and
-// build type captured at configure time. Bench --json reports and trace
+// Build provenance for machine-readable reports: the git revision the
+// library was built from and the configured build type. Bench --json reports and trace
 // file headers embed these so a result can always be traced back to the
 // code and configuration that produced it.
 #pragma once
 
 namespace pabr::buildinfo {
 
-/// Abbreviated git commit sha at configure time ("unknown" outside a git
-/// checkout). A trailing "+" marks configure-time uncommitted changes.
+/// Abbreviated git commit sha at build time ("unknown" outside a git
+/// checkout). A trailing "+" marks uncommitted changes at build time.
 const char* git_sha();
 
 /// CMAKE_BUILD_TYPE of this binary ("RelWithDebInfo", "Release", ...).

@@ -1,8 +1,7 @@
 #include "util/csv.h"
 
+#include <iostream>
 #include <sstream>
-
-#include "util/log.h"
 
 namespace pabr::csv {
 
@@ -30,7 +29,7 @@ std::string join(const std::vector<std::string>& fields) {
 Writer::Writer(const std::string& path) {
   if (path.empty()) return;
   out_.open(path);
-  if (!out_) PABR_WARN << "csv: could not open " << path << " for writing";
+  if (!out_) std::cerr << "warning: cannot write CSV to " << path << '\n';
 }
 
 void Writer::header(const std::vector<std::string>& names) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "hoef/estimator.h"
+#include "reservation/reservation.h"
 #include "sim/random.h"
 #include "sim/time.h"
 #include "traffic/connection.h"
@@ -24,21 +25,6 @@ namespace {
 
 constexpr int kSources = 12;
 constexpr int kTargets = 6;  // 72 live pairs > 64-slot initial table
-
-/// The scratch Eq. (5) rescan the engine must reproduce bit for bit
-/// (mirrors core::CellCore::contribution, route-free case).
-double scratch_contribution(const std::vector<traffic::ConnectionEntry>& table,
-                            const hoef::HandoffEstimator& estimator,
-                            geom::CellId target, sim::Time t,
-                            sim::Duration t_est, double running) {
-  for (const traffic::ConnectionEntry& e : table) {
-    const sim::Duration extant = t - e.view.entered_cell_at;
-    const double ph = estimator.handoff_probability(t, e.view.prev_cell,
-                                                    target, extant, t_est);
-    running += static_cast<double>(e.view.reserve_bandwidth) * ph;
-  }
-  return running;
-}
 
 struct SourceState {
   hoef::HandoffEstimator estimator;
@@ -145,8 +131,9 @@ TEST(EnginePairCacheTest, HammeredPairsStayBitwiseExact) {
         const double fast =
             engine.accumulate(static_cast<geom::CellId>(s), target, src.table,
                               src.estimator, now, t_est, running);
-        const double reference = scratch_contribution(
-            src.table, src.estimator, target, now, t_est, running);
+        const double reference = reservation::expected_handin_bandwidth(
+            src.estimator, src.table, nullptr, static_cast<geom::CellId>(s),
+            target, now, t_est, running);
         EXPECT_EQ(fast, reference)
             << "source " << s << " target " << target << " round " << round;
         // A completed accumulate discharges the pair's stale mark.
@@ -179,8 +166,8 @@ TEST(EnginePairCacheTest, InsertInvalidateReinsertCycle) {
     now += 0.5;
     const double a = engine.accumulate(0, target, src.table, src.estimator,
                                        now, 30.0, 0.0);
-    EXPECT_EQ(a, scratch_contribution(src.table, src.estimator, target, now,
-                                      30.0, 0.0))
+    EXPECT_EQ(a, reservation::expected_handin_bandwidth(
+                     src.estimator, src.table, nullptr, 0, target, now, 30.0))
         << "warm cycle " << cycle;
     engine.mark_stale(0, target);
     ASSERT_TRUE(engine.is_stale(0, target));

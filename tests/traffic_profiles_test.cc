@@ -95,5 +95,22 @@ TEST(PaperProfilesTest, LoadAndSpeedAntiCorrelateAtPeaks) {
   EXPECT_LT(speed.at_hour(9.0), speed.at_hour(11.0));
 }
 
+TEST(SpeedBandTest, TracksDailyCurve) {
+  const DailyProfile profile({{0.0, 100.0}, {9.0, 40.0}, {18.0, 100.0}});
+  const auto midnight = speed_band(profile, 20.0, 0.0);
+  EXPECT_DOUBLE_EQ(midnight.first, 80.0);
+  EXPECT_DOUBLE_EQ(midnight.second, 120.0);
+  const auto rush = speed_band(profile, 20.0, 9.0 * sim::kHour);
+  EXPECT_DOUBLE_EQ(rush.first, 20.0);
+  EXPECT_DOUBLE_EQ(rush.second, 60.0);
+}
+
+TEST(SpeedBandTest, FloorsAtPositiveSpeed) {
+  const DailyProfile slow({{0.0, 5.0}});
+  const auto band = speed_band(slow, 20.0, 0.0);
+  EXPECT_DOUBLE_EQ(band.first, 1.0);
+  EXPECT_DOUBLE_EQ(band.second, 25.0);
+}
+
 }  // namespace
 }  // namespace pabr::traffic

@@ -10,13 +10,9 @@ namespace pabr::traffic {
 namespace {
 
 TEST(WorkloadConfigTest, MeanBandwidthMixesVoiceAndVideo) {
-  WorkloadConfig c;
-  c.voice_ratio = 1.0;
-  EXPECT_DOUBLE_EQ(c.mean_bandwidth(), 1.0);
-  c.voice_ratio = 0.0;
-  EXPECT_DOUBLE_EQ(c.mean_bandwidth(), 4.0);
-  c.voice_ratio = 0.5;
-  EXPECT_DOUBLE_EQ(c.mean_bandwidth(), 2.5);
+  EXPECT_DOUBLE_EQ(mean_bandwidth(1.0), 1.0);
+  EXPECT_DOUBLE_EQ(mean_bandwidth(0.0), 4.0);
+  EXPECT_DOUBLE_EQ(mean_bandwidth(0.5), 2.5);
 }
 
 TEST(WorkloadConfigTest, OfferedLoadMatchesEq7) {
